@@ -9,7 +9,6 @@
 //	faasmd -listen :8090 -state a:6500,b:6500      # sharded global tier (ring)
 //	faasmd -kvs :6500                              # also serve one tier shard
 //	faasmd -elastic-pool -pool-idle-timeout 30s    # autoscale warm pools
-//	faasmd -autoscale -min-hosts 1 -max-hosts 8    # cluster control plane (advisory)
 //	faasmd -trace-sample 1                         # trace every invocation
 //
 // The scheduling and state knobs (-pool-cap, -lease-ttl, -peer-cache-ttl,
@@ -43,7 +42,6 @@ import (
 	"strings"
 	"time"
 
-	"faasm.dev/faasm/internal/autoscale"
 	"faasm.dev/faasm/internal/frt"
 	"faasm.dev/faasm/internal/kvs"
 	"faasm.dev/faasm/internal/objstore"
@@ -56,7 +54,6 @@ import (
 func main() {
 	listen := flag.String("listen", ":8090", "HTTP listen address")
 	stateAddrs := flag.String("state", "", "comma-separated kvs shard endpoints (empty = in-process; >1 shards the tier)")
-	storeAddr := flag.String("store", "", "deprecated alias for -state")
 	stateReplicas := flag.Int("state-replicas", 1, "copies per key when the tier is sharded")
 	stateWriteQuorum := flag.Int("state-write-quorum", 0, "copies that must acknowledge a replicated tier write (0 = all; W<replicas keeps writing while a shard is down)")
 	stateReadFailover := flag.Bool("state-read-failover", true, "let tier reads fall through to surviving copies when the chosen shard fails (sharded tier)")
@@ -79,16 +76,7 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 0, "per-function depth cap on queued-plus-in-flight async calls; submits beyond it are rejected 429 (0 = 1024)")
 	queueRetryMax := flag.Int("queue-retry-max", 0, "redeliveries after a failed async execution before the call dead-letters (0 = 3, <0 = none)")
 	queueLeaseTTL := flag.Duration("queue-lease-ttl", 0, "in-flight redelivery lease: a consumer dead this long after claiming has its item reclaimed (0 = 10s)")
-	autoscaleOn := flag.Bool("autoscale", false, "run the cluster autoscale controller (advisory in a single process: decisions surface on /status and faasm_autoscale_* metrics)")
-	minHosts := flag.Int("min-hosts", 1, "autoscale floor: hosts the controller keeps unconditionally")
-	maxHosts := flag.Int("max-hosts", 8, "autoscale ceiling: hosts the controller never exceeds")
-	scaleCooldown := flag.Duration("scale-cooldown", 0, "minimum gap between voluntary scale actions (0 = 8x the reconcile tick)")
 	flag.Parse()
-
-	endpoints := *stateAddrs
-	if endpoints == "" {
-		endpoints = *storeAddr
-	}
 
 	var store kvs.Store
 	var served *kvs.Engine
@@ -114,7 +102,7 @@ func main() {
 		return c
 	}
 	var ring *shardkvs.Ring
-	switch addrs := shardkvs.SplitEndpoints(endpoints); {
+	switch addrs := shardkvs.SplitEndpoints(*stateAddrs); {
 	case len(addrs) > 1:
 		var err error
 		ring, err = shardkvs.AttachRemote(addrs, shardkvs.Options{
@@ -172,19 +160,7 @@ func main() {
 		ring.Instrument(inst.Registry())
 	}
 
-	var ctrl *autoscale.Controller
-	if *autoscaleOn {
-		ctrl = autoscale.NewController(newAdvisoryFleet(inst), autoscale.Spec{
-			MinHosts: *minHosts,
-			MaxHosts: *maxHosts,
-			Cooldown: *scaleCooldown,
-		}, nil)
-		ctrl.Instrument(inst.Registry())
-		ctrl.Start()
-		log.Printf("autoscale controller on (hosts %d..%d, cooldown %v)", *minHosts, *maxHosts, ctrl.Spec().Cooldown)
-	}
-
-	mux := newMux(inst, up, objects, ring, ctrl)
+	mux := newMux(inst, up, objects, ring)
 	log.Printf("faasmd %s listening on %s", *host, *listen)
 	log.Fatal(http.ListenAndServe(*listen, mux))
 }
@@ -192,9 +168,8 @@ func main() {
 // newMux wires the daemon's HTTP surface over a runtime instance. Factored
 // from main so tests drive the real handlers through httptest. ring is the
 // sharded tier when one is attached (nil otherwise); /status reports its
-// per-shard health. ctrl is the autoscale controller when -autoscale is on
-// (nil otherwise); /status reports its fleet view and hysteresis state.
-func newMux(inst *frt.Instance, up *upload.Service, objects *objstore.Store, ring *shardkvs.Ring, ctrl *autoscale.Controller) *http.ServeMux {
+// per-shard health.
+func newMux(inst *frt.Instance, up *upload.Service, objects *objstore.Store, ring *shardkvs.Ring) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/f/", deployingUploader{up: up, inst: inst, objects: objects})
 	mux.HandleFunc("/invoke/", func(w http.ResponseWriter, r *http.Request) {
@@ -260,7 +235,7 @@ func newMux(inst *frt.Instance, up *upload.Service, objects *objstore.Store, rin
 		fmt.Fprintf(w, "host: %s\nfunctions: %v\nfaaslets: %d\ncold: %d warm: %d proto: %d\nmedian exec: %v\n",
 			inst.Host(), inst.Functions(), inst.FaasletCount(),
 			inst.ColdStarts.Value(), inst.WarmStarts.Value(), inst.ProtoStarts.Value(),
-			inst.ExecLatency.Median())
+			time.Duration(inst.ExecHistogram().Quantile(0.5)))
 		fmt.Fprintf(w, "pool misses: %d prewarmed: %d idle reclaims: %d\n",
 			inst.PoolMisses.Value(), inst.Prewarmed.Value(), inst.IdleReclaims.Value())
 		sc := inst.Scheduler()
@@ -285,19 +260,6 @@ func newMux(inst *frt.Instance, up *upload.Service, objects *objstore.Store, rin
 					fmt.Fprintf(w, "queue depth %s: %d\n", fn, d)
 				}
 			}
-		}
-		if ctrl != nil {
-			st := ctrl.Status()
-			fmt.Fprintf(w, "autoscale: hosts %d active %d draining %d (spec %d..%d)\n",
-				st.Hosts, st.Active, st.Draining, ctrl.Spec().MinHosts, ctrl.Spec().MaxHosts)
-			fmt.Fprintf(w, "autoscale load: %.2f pressure %d idleness %d cooldown %v\n",
-				st.Load, st.Pressure, st.Idleness, st.CooldownRemaining.Round(time.Millisecond))
-			last := st.LastAction
-			if last == "" {
-				last = "none"
-			}
-			fmt.Fprintf(w, "autoscale actions: ups %d downs %d drains %d restarts %d last %s\n",
-				st.ScaleUps, st.ScaleDowns, st.Drains, st.Restarts, last)
 		}
 		if ring != nil {
 			st := ring.FailureStats()

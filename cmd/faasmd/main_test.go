@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -9,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"faasm.dev/faasm/internal/autoscale"
 	"faasm.dev/faasm/internal/frt"
 	"faasm.dev/faasm/internal/hostapi"
 	"faasm.dev/faasm/internal/kvs"
@@ -35,7 +35,7 @@ func newTestServer(t *testing.T, sample int) (*httptest.Server, *frt.Instance) {
 		return 0, nil
 	}))
 	objects := objstore.NewMemory()
-	srv := httptest.NewServer(newMux(inst, upload.New(objects), objects, nil, nil))
+	srv := httptest.NewServer(newMux(inst, upload.New(objects), objects, nil))
 	t.Cleanup(srv.Close)
 	t.Cleanup(inst.Shutdown)
 	return srv, inst
@@ -142,6 +142,44 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// The operator's "median exec" on /status and the exporter's
+// faasm_frt_exec_seconds on /metrics must be one distribution read by one
+// quantile implementation, not two that can drift apart.
+func TestStatusMedianExecIsExportedHistogram(t *testing.T) {
+	srv, inst := newTestServer(t, 1)
+	const n = 25
+	for i := 0; i < n; i++ {
+		resp := invoke(t, srv, "echo", "hi")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("invoke = %d", resp.StatusCode)
+		}
+	}
+	_, metrics, _ := get(t, srv.URL+"/metrics")
+	if want := fmt.Sprintf(`faasm_frt_exec_seconds_count{host="test-0"} %d`, n); !strings.Contains(metrics, want) {
+		t.Fatalf("metrics missing %q:\n%s", want, metrics)
+	}
+	hist := inst.Registry().Histogram("faasm_frt_exec_seconds", "", map[string]string{"host": "test-0"})
+	if hist.Count() != n {
+		t.Fatalf("exported histogram holds %d observations, want %d", hist.Count(), n)
+	}
+
+	_, status, _ := get(t, srv.URL+"/status")
+	var median string
+	for _, line := range strings.Split(status, "\n") {
+		if v, ok := strings.CutPrefix(line, "median exec: "); ok {
+			median = v
+		}
+	}
+	got, err := time.ParseDuration(median)
+	if err != nil {
+		t.Fatalf("status median exec %q: %v\n%s", median, err, status)
+	}
+	if want := time.Duration(hist.Quantile(0.5)); got != want || got == 0 {
+		t.Fatalf("status median exec = %v, exported histogram p50 = %v", got, want)
+	}
+}
+
 func TestTraceEndpoints(t *testing.T) {
 	srv, _ := newTestServer(t, 1)
 	resp := invoke(t, srv, "echo", "traced")
@@ -242,7 +280,7 @@ func TestStatusReportsShardHealth(t *testing.T) {
 	inst := frt.New(frt.Config{Host: "test-0", Store: ring})
 	t.Cleanup(inst.Shutdown)
 	objects := objstore.NewMemory()
-	srv := httptest.NewServer(newMux(inst, upload.New(objects), objects, ring, nil))
+	srv := httptest.NewServer(newMux(inst, upload.New(objects), objects, ring))
 	t.Cleanup(srv.Close)
 
 	code, body, _ := get(t, srv.URL+"/status")
@@ -252,66 +290,6 @@ func TestStatusReportsShardHealth(t *testing.T) {
 	for _, want := range []string{"state tier: failovers", "shard shard-0: in-sync", "shard shard-1: in-sync"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/status missing %q:\n%s", want, body)
-		}
-	}
-}
-
-func TestStatusAndMetricsReportAutoscale(t *testing.T) {
-	eng := kvs.NewEngine()
-	inst := frt.New(frt.Config{Host: "test-0", Store: eng})
-	t.Cleanup(inst.Shutdown)
-	fleet := newAdvisoryFleet(inst)
-	ctrl := autoscale.NewController(fleet, autoscale.Spec{MinHosts: 1, MaxHosts: 4}, nil)
-	ctrl.Instrument(inst.Registry())
-
-	// Drive the advisory lifecycle by hand: one virtual scale-up, then a
-	// drain the next reconcile pass reclaims.
-	h, err := fleet.AddHost()
-	if err != nil || h != 1 {
-		t.Fatalf("AddHost = %d, %v", h, err)
-	}
-	if err := fleet.DrainHost(0); err == nil {
-		t.Fatal("draining the serving instance must be refused")
-	}
-	if err := fleet.DrainHost(h); err != nil {
-		t.Fatalf("DrainHost(%d): %v", h, err)
-	}
-	ctrl.Tick() // supervision reclaims the drained virtual slot
-	if st := ctrl.Status(); st.Hosts != 1 || st.Drains != 1 {
-		t.Fatalf("after reclaim: hosts %d drains %d", st.Hosts, st.Drains)
-	}
-
-	objects := objstore.NewMemory()
-	srv := httptest.NewServer(newMux(inst, upload.New(objects), objects, nil, ctrl))
-	t.Cleanup(srv.Close)
-
-	code, body, _ := get(t, srv.URL+"/status")
-	if code != http.StatusOK {
-		t.Fatalf("status = %d", code)
-	}
-	for _, want := range []string{
-		"autoscale: hosts 1 active 1 draining 0 (spec 1..4)",
-		"autoscale load:",
-		"autoscale actions: ups 0 downs 0 drains 1 restarts 0",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("status missing %q:\n%s", want, body)
-		}
-	}
-
-	code, body, _ = get(t, srv.URL+"/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("metrics = %d", code)
-	}
-	for _, want := range []string{
-		"faasm_autoscale_hosts 1",
-		"faasm_autoscale_scale_ups_total 0",
-		"faasm_autoscale_scale_downs_total 0",
-		"faasm_autoscale_drains_total 1",
-		"faasm_autoscale_restarts_total 0",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
 	}
 }
@@ -330,7 +308,7 @@ func TestAsyncInvokeEndpoints(t *testing.T) {
 		return 0, nil
 	}))
 	objects := objstore.NewMemory()
-	srv := httptest.NewServer(newMux(inst, upload.New(objects), objects, nil, nil))
+	srv := httptest.NewServer(newMux(inst, upload.New(objects), objects, nil))
 	t.Cleanup(srv.Close)
 
 	resp, err := http.Post(srv.URL+"/invoke/echo?async=1", "application/octet-stream", strings.NewReader("ping"))

@@ -159,7 +159,9 @@ type Stats struct {
 	WarmStarts  int64
 	ProtoStarts int64
 	Faaslets    int
-	MedianExec  time.Duration
+	// MedianExec is the median of the faasm_frt_exec_seconds histogram, at
+	// its power-of-two bucket resolution.
+	MedianExec time.Duration
 }
 
 // Stats snapshots the runtime's counters.
@@ -169,7 +171,7 @@ func (r *Runtime) Stats() Stats {
 		WarmStarts:  r.inst.WarmStarts.Value(),
 		ProtoStarts: r.inst.ProtoStarts.Value(),
 		Faaslets:    r.inst.FaasletCount(),
-		MedianExec:  r.inst.ExecLatency.Median(),
+		MedianExec:  time.Duration(r.inst.ExecHistogram().Quantile(0.5)),
 	}
 }
 

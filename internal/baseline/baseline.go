@@ -20,12 +20,13 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"faasm.dev/faasm/internal/hostapi"
 	"faasm.dev/faasm/internal/kvs"
 	"faasm.dev/faasm/internal/mbus"
-	"faasm.dev/faasm/internal/metrics"
+	"faasm.dev/faasm/internal/obsv"
 	"faasm.dev/faasm/internal/simnet"
 	"faasm.dev/faasm/internal/vtime"
 )
@@ -83,12 +84,10 @@ type Platform struct {
 	nextID  int64
 
 	// Metrics.
-	ColdStarts  metrics.Counter
-	WarmStarts  metrics.Counter
-	OOMFailures metrics.Counter
-	ExecLatency metrics.Latencies
-	InitLatency metrics.Latencies
-	Billable    metrics.BillableMemory
+	ColdStarts  atomic.Int64
+	WarmStarts  atomic.Int64
+	OOMFailures atomic.Int64
+	Billable    obsv.BillableMemory
 }
 
 // New creates a platform host.
@@ -169,9 +168,7 @@ func (p *Platform) coldStart(fn string) (*container, error) {
 	id := p.nextID
 	p.mu.Unlock()
 
-	start := p.clock.Now()
 	p.clock.Sleep(p.cfg.ColdStart)
-	p.InitLatency.Record(p.clock.Now().Sub(start))
 	p.ColdStarts.Add(1)
 	return &container{
 		id:      id,
@@ -265,7 +262,6 @@ func (p *Platform) Execute(fn string, input []byte) ([]byte, int32, error) {
 		ret, err = guest(api)
 	}()
 	dur := p.clock.Now().Sub(start)
-	p.ExecLatency.Record(dur)
 	p.Billable.Charge(p.cfg.ContainerOverhead+c.stateBytes, dur)
 	p.release(c)
 	if err != nil {

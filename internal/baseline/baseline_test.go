@@ -31,7 +31,7 @@ func TestExecutePortableGuest(t *testing.T) {
 	if err != nil || ret != 0 || string(out) != "c:x" {
 		t.Fatalf("call: %q %d %v", out, ret, err)
 	}
-	if p.ColdStarts.Value() != 1 {
+	if p.ColdStarts.Load() != 1 {
 		t.Fatal("no cold start counted")
 	}
 }
@@ -52,7 +52,7 @@ func TestColdStartCostAndWarmReuse(t *testing.T) {
 	if warmDur > coldDur/2 {
 		t.Fatalf("warm call (%v) not much faster than cold (%v)", warmDur, coldDur)
 	}
-	if p.WarmStarts.Value() != 1 {
+	if p.WarmStarts.Load() != 1 {
 		t.Fatal("warm start not counted")
 	}
 }
@@ -149,7 +149,7 @@ func TestOOMWhenHostMemoryExhausted(t *testing.T) {
 	if !errors.Is(err, ErrOOM) {
 		t.Fatalf("expected OOM, got %v", err)
 	}
-	if p.OOMFailures.Value() != 1 {
+	if p.OOMFailures.Load() != 1 {
 		t.Fatal("OOM not counted")
 	}
 	close(block)

@@ -24,7 +24,6 @@ import (
 	"faasm.dev/faasm/internal/hostapi"
 	"faasm.dev/faasm/internal/kvs"
 	"faasm.dev/faasm/internal/mbus"
-	"faasm.dev/faasm/internal/metrics"
 	"faasm.dev/faasm/internal/obsv"
 	"faasm.dev/faasm/internal/queue"
 	"faasm.dev/faasm/internal/shardkvs"
@@ -169,6 +168,10 @@ type Cluster struct {
 	// Config.AsyncQueue): consumer-less, tier-backed, so awaiting a queued
 	// call does not depend on any particular host staying alive.
 	clientQueue *queue.Queue
+
+	// statsBase is the counter snapshot the last ResetStats took; Stats
+	// reports counts relative to it (guarded by mu).
+	statsBase Stats
 }
 
 // faasmHost is one host slot. A slot is never deleted — a reclaimed host
@@ -745,8 +748,20 @@ func (c *Cluster) allInstances() []*frt.Instance {
 	return out
 }
 
-// Stats snapshots the cluster's counters.
+// Stats snapshots the cluster's counters since the last ResetStats.
 func (c *Cluster) Stats() Stats {
+	s := c.totals()
+	c.mu.Lock()
+	base := c.statsBase
+	c.mu.Unlock()
+	s.ColdStarts -= base.ColdStarts
+	s.WarmStarts -= base.WarmStarts
+	s.OOMFailures -= base.OOMFailures
+	return s
+}
+
+// totals sums the counters over the cluster's whole life.
+func (c *Cluster) totals() Stats {
 	var s Stats
 	s.NetworkBytes = c.Net.TotalBytes()
 	switch c.cfg.Mode {
@@ -759,52 +774,33 @@ func (c *Cluster) Stats() Stats {
 	default:
 		for _, p := range c.base {
 			s.GBSeconds += p.Billable.GBSeconds()
-			s.ColdStarts += p.ColdStarts.Value()
-			s.WarmStarts += p.WarmStarts.Value()
-			s.OOMFailures += p.OOMFailures.Value()
+			s.ColdStarts += p.ColdStarts.Load()
+			s.WarmStarts += p.WarmStarts.Load()
+			s.OOMFailures += p.OOMFailures.Load()
 		}
 	}
 	return s
 }
 
-// ResetStats zeroes counters between experiment phases.
+// ResetStats starts a new experiment window. Start counts are snapshotted
+// rather than zeroed: the FAASM hosts export theirs on the shared Registry
+// as _total series, which must never go backwards.
 func (c *Cluster) ResetStats() {
 	c.Net.Reset()
 	switch c.cfg.Mode {
 	case ModeFaasm:
 		for _, inst := range c.allInstances() {
 			inst.Billable.Reset()
-			inst.ColdStarts.Reset()
-			inst.WarmStarts.Reset()
 		}
 	default:
 		for _, p := range c.base {
 			p.Billable.Reset()
-			p.ColdStarts.Reset()
-			p.WarmStarts.Reset()
-			p.OOMFailures.Reset()
 		}
 	}
-}
-
-// ExecLatencies merges per-host execution latencies into one distribution.
-func (c *Cluster) ExecLatencies() *metrics.Latencies {
-	merged := &metrics.Latencies{}
-	switch c.cfg.Mode {
-	case ModeFaasm:
-		for _, inst := range c.allInstances() {
-			for _, p := range inst.ExecLatency.CDF(inst.ExecLatency.Count()) {
-				merged.Record(p.Latency)
-			}
-		}
-	default:
-		for _, p := range c.base {
-			for _, pt := range p.ExecLatency.CDF(p.ExecLatency.Count()) {
-				merged.Record(pt.Latency)
-			}
-		}
-	}
-	return merged
+	base := c.totals()
+	c.mu.Lock()
+	c.statsBase = base
+	c.mu.Unlock()
 }
 
 // Shutdown stops the cluster.

@@ -3,6 +3,8 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -294,6 +296,54 @@ func TestStatsAndReset(t *testing.T) {
 	s = c.Stats()
 	if s.NetworkBytes != 0 || s.ColdStarts != 0 {
 		t.Fatalf("post-reset stats = %+v", s)
+	}
+}
+
+// scrapeSum sums every series of one counter family in the registry's
+// exposition.
+func scrapeSum(t *testing.T, c *Cluster, name string) int64 {
+	t.Helper()
+	var b strings.Builder
+	if err := c.Registry.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for _, line := range strings.Split(b.String(), "\n") {
+		if !strings.HasPrefix(line, name+"{") && !strings.HasPrefix(line, name+" ") {
+			continue
+		}
+		v, err := strconv.ParseInt(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+		if err != nil {
+			t.Fatalf("bad series line %q: %v", line, err)
+		}
+		sum += v
+	}
+	return sum
+}
+
+func TestResetStatsKeepsRegistrySeries(t *testing.T) {
+	c := New(Config{Mode: ModeFaasm, Hosts: 1, TimeScale: 1000})
+	defer c.Shutdown()
+	noop := func(api hostapi.API) (int32, error) { return 0, nil }
+	c.Register("f", noop)
+	c.Register("g", noop)
+	c.Call("f", nil)
+	if got := scrapeSum(t, c, "faasm_frt_cold_starts_total"); got != 1 {
+		t.Fatalf("cold starts series = %d before reset, want 1", got)
+	}
+	c.ResetStats()
+	if s := c.Stats(); s.ColdStarts != 0 {
+		t.Fatalf("Stats().ColdStarts = %d after reset, want 0", s.ColdStarts)
+	}
+	if got := scrapeSum(t, c, "faasm_frt_cold_starts_total"); got != 1 {
+		t.Fatalf("cold starts series = %d after reset, want it unchanged at 1", got)
+	}
+	c.Call("g", nil)
+	if s := c.Stats(); s.ColdStarts != 1 {
+		t.Fatalf("Stats().ColdStarts = %d after one more cold call, want 1", s.ColdStarts)
+	}
+	if got := scrapeSum(t, c, "faasm_frt_cold_starts_total"); got != 2 {
+		t.Fatalf("cold starts series = %d, want 2", got)
 	}
 }
 

@@ -89,7 +89,7 @@ func InvokeScale(opts Options) *Report {
 		inst.Shutdown()
 	}
 
-	r.Note("throughput: closed-loop no-op calls per goroutine count, pool prewarmed to 2x goroutines; p50/p99 are per-call response latencies (reset excluded — it runs off the critical path)")
+	r.Note("throughput: closed-loop no-op calls per goroutine count, pool prewarmed to 2x goroutines; p50/p99 are per-call response latencies at power-of-two bucket resolution (reset excluded — it runs off the critical path)")
 	r.Note("spans: per-span latency aggregates over fully traced warm calls (trace sample rate 1); throughput rows above run at the default 1-in-%d sampling", obsv.DefaultSampleRate)
 	r.Note("global-ops: KVS operations counted through a store wrapper; steady-state warm calls must show 0 ops — the scheduler runs on local warm counters and a TTL-cached peer set")
 	r.Note("GOMAXPROCS=%d; on one core the gain is the removed per-call work (dispatch goroutine, call-table broadcast, inline reset); with more cores the per-function pools also remove lock contention", runtime.GOMAXPROCS(0))
@@ -152,36 +152,27 @@ func measureWarmInvoke(g, callsPerG int) (float64, time.Duration, time.Duration,
 		return 0, 0, 0, preErr
 	}
 
-	lats := make([][]time.Duration, g)
+	var lat obsv.Histogram
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < g; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			mine := make([]time.Duration, 0, callsPerG)
 			for k := 0; k < callsPerG; k++ {
 				t0 := time.Now()
 				if _, _, err := inst.Call("noop", nil); err != nil {
 					return
 				}
-				mine = append(mine, time.Since(t0))
+				lat.Observe(int64(time.Since(t0)))
 			}
-			lats[w] = mine
-		}(w)
+		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	if len(all) == 0 {
+	if lat.Count() == 0 {
 		return 0, 0, 0, fmt.Errorf("no calls completed")
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	p50 := all[len(all)/2]
-	p99 := all[(len(all)*99)/100]
-	return float64(len(all)) / elapsed.Seconds(), p50, p99, nil
+	return float64(lat.Count()) / elapsed.Seconds(), quantile(&lat, 0.5), quantile(&lat, 0.99), nil
 }

@@ -7,7 +7,7 @@ import (
 
 	"faasm.dev/faasm/internal/baseline"
 	"faasm.dev/faasm/internal/cluster"
-	"faasm.dev/faasm/internal/metrics"
+	"faasm.dev/faasm/internal/obsv"
 	"faasm.dev/faasm/internal/workloads/dmatmul"
 	"faasm.dev/faasm/internal/workloads/inference"
 	"faasm.dev/faasm/internal/workloads/sgd"
@@ -178,9 +178,17 @@ type fig7Config struct {
 	capacity  int
 }
 
+// bucketNote qualifies every latency quantile read from an obsv.Histogram.
+const bucketNote = "quantiles are given at power-of-two bucket resolution (obsv.Histogram, the type /metrics exports): each is the midpoint of the bucket holding that rank"
+
+// quantile reads the q-th quantile of a nanosecond latency histogram.
+func quantile(h *obsv.Histogram, q float64) time.Duration {
+	return time.Duration(h.Quantile(q))
+}
+
 // runInferenceLoad runs an open-loop load test and returns the latency
-// distribution.
-func runInferenceLoad(cfg fig7Config) (*metrics.Latencies, error) {
+// distribution (nanoseconds).
+func runInferenceLoad(cfg fig7Config) (*obsv.Histogram, error) {
 	c := cluster.New(cluster.Config{
 		Mode: cfg.mode, Hosts: 4, TimeScale: cfg.scale,
 		UseProto: cfg.useProto, Capacity: cfg.capacity,
@@ -218,7 +226,7 @@ func runInferenceLoad(cfg fig7Config) (*metrics.Latencies, error) {
 	}
 	warm.Wait()
 
-	lat := &metrics.Latencies{}
+	lat := &obsv.Histogram{}
 	var wg sync.WaitGroup
 	interval := time.Duration(float64(time.Second) / cfg.rate)
 	n := int(cfg.duration.Seconds() * cfg.rate)
@@ -240,7 +248,7 @@ func runInferenceLoad(cfg fig7Config) (*metrics.Latencies, error) {
 			start := c.Clock.Now()
 			_, _, err := c.Call(fn, img)
 			if err == nil {
-				lat.Record(c.Clock.Now().Sub(start))
+				lat.Observe(int64(c.Clock.Now().Sub(start)))
 			}
 		}(fn, img)
 		c.Clock.Sleep(interval)
@@ -288,9 +296,10 @@ func Fig7(opts Options) *Report {
 			}
 			r.Add(fmt.Sprintf("%g", rate), s.label,
 				fmt.Sprintf("%.0f%%", s.cold*100),
-				fmtDur(lat.Median()), fmtDur(lat.Quantile(0.9)), fmtDur(lat.Quantile(0.99)))
+				fmtDur(quantile(lat, 0.5)), fmtDur(quantile(lat, 0.9)), fmtDur(quantile(lat, 0.99)))
 		}
 	}
+	r.Note(bucketNote)
 	r.Note("faasm series covers all cold ratios (proto restores make them indistinguishable, as in the paper)")
 	r.Note("clock scale %gx, %v per point; capacity 4 concurrent executions/host (the testbed's 4-core E3-1220s)", scale, dur)
 	r.Note("paper shape: knative median explodes past a knee that worsens with cold%%; faasm flat to 200 req/s with 90%% lower tail")
@@ -321,7 +330,7 @@ func Fig7CDF(opts Options) *Report {
 		{cluster.ModeBaseline, false, 0.02},
 		{cluster.ModeBaseline, false, 0.20},
 	}
-	var dists []*metrics.Latencies
+	var dists []*obsv.Histogram
 	for _, cdef := range cols {
 		lat, err := runInferenceLoad(fig7Config{
 			mode: cdef.mode, useProto: cdef.proto, coldRatio: cdef.cold,
@@ -329,17 +338,18 @@ func Fig7CDF(opts Options) *Report {
 		})
 		if err != nil {
 			r.Note("series failed: %v", err)
-			lat = &metrics.Latencies{}
+			lat = &obsv.Histogram{}
 		}
 		dists = append(dists, lat)
 	}
 	for _, q := range []float64{0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 1.0} {
 		row := []string{fmt.Sprintf("p%02.0f", q*100)}
 		for _, d := range dists {
-			row = append(row, fmtDur(d.Quantile(q)))
+			row = append(row, fmtDur(quantile(d, q)))
 		}
 		r.Add(row...)
 	}
+	r.Note(bucketNote)
 	r.Note("paper: knative tail >2s with 35%% of calls >500ms at 20%% cold; faasm tail <150ms across all ratios")
 	return r
 }

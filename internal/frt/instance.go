@@ -11,7 +11,6 @@ import (
 	"faasm.dev/faasm/internal/core"
 	"faasm.dev/faasm/internal/kvs"
 	"faasm.dev/faasm/internal/mbus"
-	"faasm.dev/faasm/internal/metrics"
 	"faasm.dev/faasm/internal/obsv"
 	"faasm.dev/faasm/internal/queue"
 	"faasm.dev/faasm/internal/sched"
@@ -206,24 +205,22 @@ type Instance struct {
 	elasticDone chan struct{}
 	elasticOnce sync.Once
 
-	// Metrics for the evaluation.
-	ColdStarts  metrics.Counter
-	WarmStarts  metrics.Counter
-	ProtoStarts metrics.Counter
-	ExecLatency metrics.Latencies
-	InitLatency metrics.Latencies
-	Billable    metrics.BillableMemory
+	// Metrics for the evaluation, exported on the registry by instrument.
+	ColdStarts  obsv.Counter
+	WarmStarts  obsv.Counter
+	ProtoStarts obsv.Counter
+	Billable    obsv.BillableMemory
 	// PoolMisses counts calls that found the warm pool empty and paid a
 	// cold start on the critical path; Prewarmed counts Faaslets the
 	// elastic controller pre-provisioned off it; IdleReclaims counts
 	// Faaslets the controller evicted from idle pools.
-	PoolMisses   metrics.Counter
-	Prewarmed    metrics.Counter
-	IdleReclaims metrics.Counter
+	PoolMisses   obsv.Counter
+	Prewarmed    obsv.Counter
+	IdleReclaims obsv.Counter
 
 	// tracer samples invocation traces; reg is the metrics registry both
-	// feed the /metrics exposition. execHist/initHist are the bounded
-	// histogram counterparts of ExecLatency/InitLatency (nanos).
+	// feed the /metrics exposition. execHist/initHist are the registered
+	// guest-execution and cold-start-initialisation histograms (nanos).
 	tracer   *obsv.Tracer
 	reg      *obsv.Registry
 	execHist *obsv.Histogram
@@ -333,10 +330,13 @@ func (i *Instance) Tracer() *obsv.Tracer { return i.tracer }
 // Registry exposes the instance's metrics registry (GET /metrics).
 func (i *Instance) Registry() *obsv.Registry { return i.reg }
 
-// instrument registers the runtime's metrics. Pre-existing atomic counters
-// are bridged with CounterFunc — read at scrape time, nothing added to the
-// write path; only the latency histograms are new hot-path work (three
-// atomic adds per call).
+// ExecHistogram is the registered faasm_frt_exec_seconds histogram: the
+// one distribution /status, Runtime.Stats and /metrics all read.
+func (i *Instance) ExecHistogram() *obsv.Histogram { return i.execHist }
+
+// instrument registers the runtime's metrics. Counters are bridged with
+// CounterFunc — read at scrape time, nothing added to the write path; the
+// latency histograms cost three atomic adds per observation.
 func (i *Instance) instrument() {
 	l := map[string]string{"host": i.cfg.Host}
 	i.reg.CounterFunc("faasm_frt_cold_starts_total", "cold starts", l, i.ColdStarts.Value)
@@ -763,7 +763,6 @@ func (i *Instance) executeLocal(tr *obsv.Trace, function string, input []byte) (
 		tr.RecordSpan(i.cfg.Host, "exec", function, start, dur, 0, execErr != nil)
 		f.SetTraceSink("", nil)
 	}
-	i.ExecLatency.Record(dur)
 	i.execHist.Observe(int64(dur))
 	i.Billable.Charge(f.Footprint(), dur)
 	i.release(def.Name, f, execErr == nil)
@@ -817,7 +816,6 @@ func (i *Instance) acquire(def core.FuncDef) (*core.Faaslet, bool, error) {
 		return nil, true, err
 	}
 	initDur := i.clock.Now().Sub(start)
-	i.InitLatency.Record(initDur)
 	i.initHist.Observe(int64(initDur))
 	i.ColdStarts.Add(1)
 	p.mu.Lock()

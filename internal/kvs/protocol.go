@@ -13,7 +13,7 @@ import (
 	"sync"
 	"time"
 
-	"faasm.dev/faasm/internal/metrics"
+	"faasm.dev/faasm/internal/obsv"
 )
 
 // The wire protocol is a line-oriented request/response exchange. Keys and
@@ -644,8 +644,8 @@ type Client struct {
 	// Retry governs redial-and-retry on unavailability; see RetryPolicy.
 	Retry RetryPolicy
 
-	Sent     metrics.Counter
-	Received metrics.Counter
+	Sent     obsv.Counter
+	Received obsv.Counter
 }
 
 type clientConn struct {

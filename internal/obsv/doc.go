@@ -23,12 +23,18 @@
 //
 // # Metrics
 //
-// Registry holds named counters, gauges and histograms, each with a fixed
-// label set bound at registration. Histograms use power-of-two buckets over
-// int64 observations (one atomic add per bucket observe), replacing
-// unbounded raw-sample recording on hot paths. CounterFunc/GaugeFunc expose
-// pre-existing atomic counters without double-counting writes. WritePrometheus
-// renders the whole registry in the Prometheus text exposition format.
+// obsv is the repo's only measurement code. Counter is a monotonic atomic
+// counter with no Reset; BillableMemory accumulates §6.1's GB-seconds.
+// Registry holds named series, each with a fixed label set bound at
+// registration: counters and gauges are read at scrape time through
+// CounterFunc/GaugeFunc from the owner's own Counter or atomic, so writes
+// are never double-counted; histograms use power-of-two buckets over int64
+// observations (three atomic adds per observe, memory fixed regardless of
+// sample count). Histogram.Quantile is the only quantile implementation:
+// /status and Runtime.Stats read the registered exec histogram /metrics
+// exports, and the experiment reports record into the same type.
+// WritePrometheus renders the whole registry in the Prometheus text
+// exposition format.
 //
 // Metric naming scheme (enforced by scripts/check-metrics.sh and documented
 // in docs/ARCHITECTURE.md): faasm_<subsystem>_<noun>[_<unit>][_total], all

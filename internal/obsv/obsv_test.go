@@ -152,6 +152,37 @@ func TestSpanStatsAggregates(t *testing.T) {
 	}
 }
 
+func TestCounter(t *testing.T) {
+	var c Counter
+	var wg sync.WaitGroup
+	for i := 0; i < 10; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				c.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if c.Value() != 1000 {
+		t.Fatalf("counter = %d", c.Value())
+	}
+}
+
+func TestBillableMemory(t *testing.T) {
+	var b BillableMemory
+	b.Charge(2e9, 3*time.Second) // 2 GB for 3s = 6 GB-s
+	b.Charge(5e8, 2*time.Second) // 0.5 GB for 2s = 1 GB-s
+	if got := b.GBSeconds(); got < 6.99 || got > 7.01 {
+		t.Fatalf("GB-seconds = %v", got)
+	}
+	b.Reset()
+	if b.GBSeconds() != 0 {
+		t.Fatal("reset failed")
+	}
+}
+
 func TestHistogramQuantilesAndBounds(t *testing.T) {
 	var h Histogram
 	for i := int64(1); i <= 1000; i++ {
@@ -178,20 +209,24 @@ func TestHistogramQuantilesAndBounds(t *testing.T) {
 
 func TestRegistryCountersGaugesExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("faasm_test_ops_total", "ops", map[string]string{"host": "h0", "op": "get"})
-	c.Add(3)
-	r.Counter("faasm_test_ops_total", "ops", map[string]string{"host": "h0", "op": "set"}).Inc()
+	var get, set Counter
+	get.Add(3)
+	set.Add(1)
+	r.CounterFunc("faasm_test_ops_total", "ops", map[string]string{"host": "h0", "op": "get"}, get.Value)
+	r.CounterFunc("faasm_test_ops_total", "ops", map[string]string{"host": "h0", "op": "set"}, set.Value)
 	var backing int64 = 42
 	r.CounterFunc("faasm_test_reads_total", "reads", nil, func() int64 { return backing })
-	g := r.Gauge("faasm_test_inflight", "inflight", map[string]string{"host": "h0"})
-	g.Set(7)
+	r.GaugeFunc("faasm_test_inflight", "inflight", map[string]string{"host": "h0"}, func() int64 { return 7 })
 	r.GaugeFunc("faasm_test_keys", "keys", nil, func() int64 { return 9 })
 
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
+	scrape := func() string {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
 	}
-	out := b.String()
+	out := scrape()
 	for _, want := range []string{
 		"# TYPE faasm_test_ops_total counter",
 		`faasm_test_ops_total{host="h0",op="get"} 3`,
@@ -205,9 +240,13 @@ func TestRegistryCountersGaugesExposition(t *testing.T) {
 			t.Fatalf("exposition missing %q in:\n%s", want, out)
 		}
 	}
-	// Same name+labels returns the same counter.
-	if r.Counter("faasm_test_ops_total", "ops", map[string]string{"op": "get", "host": "h0"}) != c {
-		t.Fatal("re-registration returned a different counter")
+	// Label order does not matter: re-registering the same name and label
+	// set replaces the series' function instead of adding a second series.
+	r.CounterFunc("faasm_test_ops_total", "ops", map[string]string{"op": "get", "host": "h0"}, func() int64 { return 5 })
+	out = scrape()
+	if !strings.Contains(out, `faasm_test_ops_total{host="h0",op="get"} 5`) ||
+		strings.Count(out, `op="get"`) != 1 {
+		t.Fatalf("re-registration did not replace the series:\n%s", out)
 	}
 }
 
@@ -249,12 +288,13 @@ func TestRegistryNamingConventionEnforced(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("bad prefix", func() { r.Counter("http_requests_total", "", nil) })
-	mustPanic("counter without _total", func() { r.Counter("faasm_test_ops", "", nil) })
-	mustPanic("bad label", func() { r.Gauge("faasm_test_x", "", map[string]string{"BadLabel": "v"}) })
+	zero := func() int64 { return 0 }
+	mustPanic("bad prefix", func() { r.CounterFunc("http_requests_total", "", nil, zero) })
+	mustPanic("counter without _total", func() { r.CounterFunc("faasm_test_ops", "", nil, zero) })
+	mustPanic("bad label", func() { r.GaugeFunc("faasm_test_x", "", map[string]string{"BadLabel": "v"}, zero) })
 	mustPanic("kind clash", func() {
-		r.Counter("faasm_test_clash_total", "", nil)
-		r.Gauge("faasm_test_clash_total", "", nil)
+		r.CounterFunc("faasm_test_clash_total", "", nil, zero)
+		r.GaugeFunc("faasm_test_clash_total", "", nil, zero)
 	})
 }
 
@@ -262,7 +302,8 @@ func TestConcurrentTraceAndScrape(t *testing.T) {
 	tr := NewTracer(time.Now, 1, 128)
 	r := NewRegistry()
 	h := r.Histogram("faasm_test_lat_seconds", "", nil)
-	c := r.Counter("faasm_test_calls_total", "", nil)
+	var c Counter
+	r.CounterFunc("faasm_test_calls_total", "", nil, c.Value)
 	var writers sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		writers.Add(1)
@@ -273,7 +314,7 @@ func TestConcurrentTraceAndScrape(t *testing.T) {
 				tc.RecordSpan("h", "exec", "", time.Now(), time.Microsecond, 0, false)
 				tr.Finish(tc)
 				h.Observe(int64(i))
-				c.Inc()
+				c.Add(1)
 			}
 		}()
 	}

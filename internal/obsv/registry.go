@@ -12,33 +12,20 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a registry-owned monotonic counter.
+// Counter is a monotonic counter: a single atomic, so hot paths (per-call
+// warm-start accounting, per-pull byte counts) never serialise on a lock.
+// Owners expose it through Registry.CounterFunc. It has no Reset: a
+// _total series must never go backwards, so windowed readers (experiment
+// phases) subtract a snapshot instead.
 type Counter struct {
 	v atomic.Int64
 }
 
-// Add increments the counter.
+// Add increments the counter by n.
 func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a registry-owned instantaneous value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the gauge by n.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // histBuckets is the number of power-of-two histogram buckets: bucket b
 // counts observations v with bits.Len64(v) == b, i.e. v in [2^(b-1), 2^b).
@@ -135,8 +122,6 @@ func (k metricKind) String() string {
 // metric is one (family, label-set) series.
 type metric struct {
 	labels string // rendered {k="v",...} or ""
-	ctr    *Counter
-	gauge  *Gauge
 	fn     func() int64
 	hist   *Histogram
 }
@@ -214,7 +199,7 @@ func (r *Registry) family(name, help string, kind metricKind) *family {
 	return f
 }
 
-// series returns the (creating if needed) series for a label set; make is
+// metricFor returns the (creating if needed) series for a label set; make is
 // called under the family lock to build a fresh metric.
 func (f *family) metricFor(labels map[string]string, make func() *metric) *metric {
 	sig := renderLabels(labels)
@@ -230,29 +215,17 @@ func (f *family) metricFor(labels map[string]string, make func() *metric) *metri
 	return m
 }
 
-// Counter registers (or fetches) a registry-owned counter.
-func (r *Registry) Counter(name, help string, labels map[string]string) *Counter {
-	m := r.family(name, help, kindCounter).metricFor(labels, func() *metric { return &metric{ctr: &Counter{}} })
-	return m.ctr
-}
-
 // CounterFunc registers a counter whose value is read from f at exposition
 // time — the bridge for pre-existing atomic counters (no double counting on
 // the write path). Re-registering the same series replaces the function.
 func (r *Registry) CounterFunc(name, help string, labels map[string]string, f func() int64) {
-	m := r.family(name, help, kindCounter).metricFor(labels, func() *metric { return &metric{} })
+	m := r.family(name, help, kindCounter).metricFor(labels, func() *metric { return &metric{fn: f} })
 	m.fn = f
-}
-
-// Gauge registers (or fetches) a registry-owned gauge.
-func (r *Registry) Gauge(name, help string, labels map[string]string) *Gauge {
-	m := r.family(name, help, kindGauge).metricFor(labels, func() *metric { return &metric{gauge: &Gauge{}} })
-	return m.gauge
 }
 
 // GaugeFunc registers a gauge read from f at exposition time.
 func (r *Registry) GaugeFunc(name, help string, labels map[string]string, f func() int64) {
-	m := r.family(name, help, kindGauge).metricFor(labels, func() *metric { return &metric{} })
+	m := r.family(name, help, kindGauge).metricFor(labels, func() *metric { return &metric{fn: f} })
 	m.fn = f
 }
 
@@ -308,16 +281,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 func writeSeries(w io.Writer, f *family, m *metric) error {
 	switch f.kind {
 	case kindCounter, kindGauge:
-		var v int64
-		switch {
-		case m.fn != nil:
-			v = m.fn()
-		case m.ctr != nil:
-			v = m.ctr.Value()
-		case m.gauge != nil:
-			v = m.gauge.Value()
-		}
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, m.labels, v)
+		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, m.labels, m.fn())
 		return err
 	case kindHistogram:
 		return writeHistogram(w, f.name, m)

@@ -307,6 +307,58 @@ func TestAwaitUnknownAndTimeout(t *testing.T) {
 	}
 }
 
+// completeOnItemGet runs hook just before the first Get of key, modelling
+// a consumer that commits the result and acks between two reads of an
+// awaiter.
+type completeOnItemGet struct {
+	kvs.Store
+	key  atomic.Pointer[string]
+	hook func()
+}
+
+func (s *completeOnItemGet) Get(key string) ([]byte, error) {
+	if k := s.key.Load(); k != nil && *k == key && s.key.CompareAndSwap(k, nil) {
+		s.hook()
+	}
+	return s.Store.Get(key)
+}
+
+// A call that succeeds between Await's result miss and its item read must
+// be reported as succeeded: the ack has deleted both the item and the
+// attempt counter by then, which looks exactly like a never-submitted id.
+func TestAwaitSeesResultCommittedDuringItemProbe(t *testing.T) {
+	vc := vtime.NewVirtual()
+	eng := kvs.NewEngine()
+	eng.SetNowFunc(vc.Now)
+	st := &completeOnItemGet{Store: eng}
+	q := New(Config{Host: "h1", Store: st, Clock: vc}, execFunc(echo))
+	t.Cleanup(q.Close)
+	id, err := q.Submit("wc", []byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.hook = func() {
+		it, att, ok := q.claim("wc")
+		if !ok {
+			t.Error("consumer found nothing to claim")
+			return
+		}
+		q.runItem("wc", it, att)
+	}
+	k := itemKey(id)
+	st.key.Store(&k)
+	rec, err := q.Await(id, time.Second)
+	if err != nil {
+		t.Fatalf("await of a call that succeeded: %v", err)
+	}
+	if rec.Status != mbus.CallSucceeded || string(rec.Output) != "echo:x" {
+		t.Fatalf("result = %+v", rec)
+	}
+	if st.key.Load() != nil {
+		t.Fatal("the awaiter never probed the item key")
+	}
+}
+
 func TestSubmitAfterCloseRefused(t *testing.T) {
 	q, _ := newVirtualQueue(t, Config{Host: "h1"}, execFunc(echo))
 	q.Close()

@@ -11,10 +11,10 @@ package simnet
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"faasm.dev/faasm/internal/kvs"
-	"faasm.dev/faasm/internal/metrics"
 	"faasm.dev/faasm/internal/vtime"
 )
 
@@ -28,15 +28,15 @@ type Network struct {
 
 	mu sync.Mutex
 	// Sent/Received aggregate bytes across the cluster.
-	Sent     metrics.Counter
-	Received metrics.Counter
+	Sent     atomic.Int64
+	Received atomic.Int64
 	perHost  map[string]*HostCounters
 }
 
 // HostCounters tracks one host's transfers.
 type HostCounters struct {
-	Sent     metrics.Counter
-	Received metrics.Counter
+	Sent     atomic.Int64
+	Received atomic.Int64
 }
 
 // Gigabit is the testbed's 1 Gbps in bytes/second.
@@ -93,7 +93,7 @@ func (n *Network) sleepFor(bytes int64) {
 
 // TotalBytes reports cluster-wide sent+received bytes.
 func (n *Network) TotalBytes() int64 {
-	return n.Sent.Value() + n.Received.Value()
+	return n.Sent.Load() + n.Received.Load()
 }
 
 // HostBytes reports one host's sent+received bytes — the failure
@@ -101,18 +101,18 @@ func (n *Network) TotalBytes() int64 {
 // heartbeats, lease reads) a host pays while the cluster heals.
 func (n *Network) HostBytes(host string) int64 {
 	hc := n.Host(host)
-	return hc.Sent.Value() + hc.Received.Value()
+	return hc.Sent.Load() + hc.Received.Load()
 }
 
 // Reset zeroes all counters.
 func (n *Network) Reset() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.Sent.Reset()
-	n.Received.Reset()
+	n.Sent.Store(0)
+	n.Received.Store(0)
 	for _, hc := range n.perHost {
-		hc.Sent.Reset()
-		hc.Received.Reset()
+		hc.Sent.Store(0)
+		hc.Received.Store(0)
 	}
 }
 

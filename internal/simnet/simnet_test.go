@@ -12,18 +12,18 @@ func TestTransferAccounting(t *testing.T) {
 	n := New(0, 0, nil) // free network: accounting only
 	n.Transfer("h1", 100, 50)
 	n.Transfer("h2", 10, 5)
-	if n.Sent.Value() != 110 || n.Received.Value() != 55 {
-		t.Fatalf("totals: %d %d", n.Sent.Value(), n.Received.Value())
+	if n.Sent.Load() != 110 || n.Received.Load() != 55 {
+		t.Fatalf("totals: %d %d", n.Sent.Load(), n.Received.Load())
 	}
 	h1 := n.Host("h1")
-	if h1.Sent.Value() != 100 || h1.Received.Value() != 50 {
-		t.Fatalf("h1: %d %d", h1.Sent.Value(), h1.Received.Value())
+	if h1.Sent.Load() != 100 || h1.Received.Load() != 50 {
+		t.Fatalf("h1: %d %d", h1.Sent.Load(), h1.Received.Load())
 	}
 	if n.TotalBytes() != 165 {
 		t.Fatalf("total = %d", n.TotalBytes())
 	}
 	n.Reset()
-	if n.TotalBytes() != 0 || n.Host("h1").Sent.Value() != 0 {
+	if n.TotalBytes() != 0 || n.Host("h1").Sent.Load() != 0 {
 		t.Fatal("reset failed")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"faasm.dev/faasm/internal/kvs"
-	"faasm.dev/faasm/internal/metrics"
 	"faasm.dev/faasm/internal/obsv"
 	"faasm.dev/faasm/internal/wamem"
 )
@@ -38,8 +37,8 @@ type LocalTier struct {
 	global kvs.Store
 
 	// Pulled/Pushed count global-tier transfer bytes for the experiments.
-	Pulled metrics.Counter
-	Pushed metrics.Counter
+	Pulled obsv.Counter
+	Pushed obsv.Counter
 }
 
 // NewLocalTier creates a local tier over the given global store.
@@ -51,8 +50,8 @@ func NewLocalTier(global kvs.Store) *LocalTier {
 func (lt *LocalTier) Global() kvs.Store { return lt.global }
 
 // Instrument registers the tier's transfer counters and replica footprint
-// with reg, labelled by host — bridged at scrape time from the existing
-// atomics, nothing added to the pull/push paths.
+// with reg, labelled by host — bridged at scrape time, nothing added to
+// the pull/push paths.
 func (lt *LocalTier) Instrument(reg *obsv.Registry, host string) {
 	l := map[string]string{"host": host}
 	reg.CounterFunc("faasm_state_pulled_bytes_total", "bytes pulled from the global tier", l, lt.Pulled.Value)
