@@ -260,15 +260,16 @@ func (m *Memory) WriteU8(off uint32, b byte) error {
 
 // ReadU32 loads a little-endian uint32.
 func (m *Memory) ReadU32(off uint32) (uint32, error) {
-	if err := m.check(off, 4); err != nil {
-		return 0, err
-	}
-	if off&pageMask <= PageSize-4 {
-		buf := m.pageForRead(int(off >> pageShift))
+	// An access inside an existing page is in bounds: no size check.
+	if idx := int(off >> pageShift); off&pageMask <= PageSize-4 && idx < len(m.pages) {
+		buf := m.pageForRead(idx)
 		if buf == nil {
 			return 0, nil
 		}
 		return binary.LittleEndian.Uint32(buf[off&pageMask:]), nil
+	}
+	if err := m.check(off, 4); err != nil {
+		return 0, err
 	}
 	var b [4]byte
 	if err := m.read(off, b[:]); err != nil {
@@ -279,12 +280,18 @@ func (m *Memory) ReadU32(off uint32) (uint32, error) {
 
 // WriteU32 stores a little-endian uint32.
 func (m *Memory) WriteU32(off uint32, v uint32) error {
+	// An access inside an existing page is in bounds: no size check, and
+	// no call when the page is already private or shared.
+	if idx := int(off >> pageShift); off&pageMask <= PageSize-4 && idx < len(m.pages) {
+		buf := m.pages[idx].buf
+		if buf == nil || m.pages[idx].cow {
+			buf = m.pageForWrite(idx)
+		}
+		binary.LittleEndian.PutUint32(buf[off&pageMask:], v)
+		return nil
+	}
 	if err := m.check(off, 4); err != nil {
 		return err
-	}
-	if off&pageMask <= PageSize-4 {
-		binary.LittleEndian.PutUint32(m.pageForWrite(int(off >> pageShift))[off&pageMask:], v)
-		return nil
 	}
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
@@ -293,15 +300,16 @@ func (m *Memory) WriteU32(off uint32, v uint32) error {
 
 // ReadU64 loads a little-endian uint64.
 func (m *Memory) ReadU64(off uint32) (uint64, error) {
-	if err := m.check(off, 8); err != nil {
-		return 0, err
-	}
-	if off&pageMask <= PageSize-8 {
-		buf := m.pageForRead(int(off >> pageShift))
+	// An access inside an existing page is in bounds: no size check.
+	if idx := int(off >> pageShift); off&pageMask <= PageSize-8 && idx < len(m.pages) {
+		buf := m.pageForRead(idx)
 		if buf == nil {
 			return 0, nil
 		}
 		return binary.LittleEndian.Uint64(buf[off&pageMask:]), nil
+	}
+	if err := m.check(off, 8); err != nil {
+		return 0, err
 	}
 	var b [8]byte
 	if err := m.read(off, b[:]); err != nil {
@@ -312,12 +320,18 @@ func (m *Memory) ReadU64(off uint32) (uint64, error) {
 
 // WriteU64 stores a little-endian uint64.
 func (m *Memory) WriteU64(off uint32, v uint64) error {
+	// An access inside an existing page is in bounds: no size check, and
+	// no call when the page is already private or shared.
+	if idx := int(off >> pageShift); off&pageMask <= PageSize-8 && idx < len(m.pages) {
+		buf := m.pages[idx].buf
+		if buf == nil || m.pages[idx].cow {
+			buf = m.pageForWrite(idx)
+		}
+		binary.LittleEndian.PutUint64(buf[off&pageMask:], v)
+		return nil
+	}
 	if err := m.check(off, 8); err != nil {
 		return err
-	}
-	if off&pageMask <= PageSize-8 {
-		binary.LittleEndian.PutUint64(m.pageForWrite(int(off >> pageShift))[off&pageMask:], v)
-		return nil
 	}
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
@@ -439,6 +453,88 @@ func (m *Memory) Zero(off uint32, n int) error {
 			for i := po; i < po+c; i++ {
 				buf[i] = 0
 			}
+		}
+		n -= c
+		off += uint32(c)
+	}
+	return nil
+}
+
+// Copy moves n bytes from src to dst with memmove semantics: the result is
+// as if the source were first copied aside, so overlapping ranges are safe
+// in either direction, across page boundaries too. Both ranges are checked
+// before any byte moves, so an out-of-bounds copy changes nothing. It works
+// page by page through the copy-on-write accessors and allocates nothing
+// beyond the pages it first writes.
+func (m *Memory) Copy(dst, src uint32, n int) error {
+	if n < 0 {
+		return ErrOutOfBounds
+	}
+	if err := m.check(src, n); err != nil {
+		return err
+	}
+	if err := m.check(dst, n); err != nil {
+		return err
+	}
+	if dst == src {
+		return nil
+	}
+	d, s, left := uint64(dst), uint64(src), uint64(n)
+	if d < s || d >= s+left {
+		// Forward: a chunk never overwrites source bytes not yet read.
+		for left > 0 {
+			c := min(left, PageSize-d&pageMask, PageSize-s&pageMask)
+			m.copyChunk(d, s, c)
+			d, s, left = d+c, s+c, left-c
+		}
+		return nil
+	}
+	// Backward: dst overlaps the tail of src, so move from the end.
+	d, s = d+left, s+left
+	for left > 0 {
+		c := min(left, (d-1)&pageMask+1, (s-1)&pageMask+1)
+		d, s, left = d-c, s-c, left-c
+		m.copyChunk(d, s, c)
+	}
+	return nil
+}
+
+// copyChunk copies c bytes from s to d; neither range crosses a page.
+func (m *Memory) copyChunk(d, s, c uint64) {
+	di, si := int(d>>pageShift), int(s>>pageShift)
+	from := m.pageForRead(si)
+	if from == nil && m.pages[di].buf == nil {
+		return // zeroes onto an untouched zero page
+	}
+	// Materialise the destination first: a copy-on-write page that is also
+	// the source keeps its old bytes readable in from.
+	to := m.pageForWrite(di)[d&pageMask : d&pageMask+c]
+	if from == nil {
+		clear(to)
+		return
+	}
+	copy(to, from[s&pageMask:s&pageMask+c])
+}
+
+// Fill sets n bytes at off to val, in place. Zero fills leave untouched
+// zero pages unmaterialised.
+func (m *Memory) Fill(off uint32, val byte, n int) error {
+	if n < 0 {
+		return ErrOutOfBounds
+	}
+	if val == 0 {
+		return m.Zero(off, n)
+	}
+	if err := m.check(off, n); err != nil {
+		return err
+	}
+	for n > 0 {
+		po := int(off & pageMask)
+		c := min(n, PageSize-po)
+		buf := m.pageForWrite(int(off >> pageShift))[po : po+c]
+		buf[0] = val
+		for k := 1; k < c; k *= 2 {
+			copy(buf[k:], buf[:k])
 		}
 		n -= c
 		off += uint32(c)

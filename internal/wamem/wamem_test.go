@@ -475,3 +475,161 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		_ = r
 	}
 }
+
+// patterned fills [0, n) with a byte pattern that differs at every offset
+// modulo 251, so a misplaced chunk shows up.
+func patterned(t *testing.T, m *Memory, n int) []byte {
+	t.Helper()
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i%251 + 1)
+	}
+	if err := m.WriteBytes(0, b); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// memmove is the reference: copy through a temporary buffer.
+func memmove(b []byte, dst, src, n int) {
+	tmp := append([]byte(nil), b[src:src+n]...)
+	copy(b[dst:], tmp)
+}
+
+func TestCopyOverlapAcrossPageBoundary(t *testing.T) {
+	const size = 3 * PageSize
+	cases := []struct {
+		name        string
+		dst, src, n int
+	}{
+		{"forward overlap", PageSize - 100, PageSize - 60, 5000},
+		{"backward overlap", PageSize - 60, PageSize - 100, 5000},
+		{"backward by one byte over two boundaries", PageSize - 1, PageSize - 2, PageSize + 10},
+		{"forward by one byte over two boundaries", PageSize - 2, PageSize - 1, PageSize + 10},
+		{"disjoint across pages", 2*PageSize + 7, 3, PageSize - 20},
+		{"same place", 500, 500, PageSize},
+	}
+	for _, tc := range cases {
+		m := MustNew(3, 0)
+		want := patterned(t, m, size)
+		memmove(want, tc.dst, tc.src, tc.n)
+		if err := m.Copy(uint32(tc.dst), uint32(tc.src), tc.n); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, _ := m.ReadBytes(0, size)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: memory differs from memmove", tc.name)
+		}
+	}
+}
+
+func TestCopyFromZeroAndSnapshotPages(t *testing.T) {
+	m := MustNew(3, 0)
+	m.WriteU32(PageSize+8, 0xdeadbeef)
+	snap := m.Snapshot()
+	r := snap.Restore()
+	// Page 2 is untouched: copying it onto page 1 zeroes the target bytes.
+	if err := r.Copy(PageSize, 2*PageSize, 16); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := r.ReadU32(PageSize + 8); v != 0 {
+		t.Fatalf("zero-page source copied %#x", v)
+	}
+	// Zeroes onto an untouched page materialise nothing.
+	before := r.Footprint()
+	if err := r.Copy(2*PageSize+100, 0, 64); err != nil {
+		t.Fatal(err)
+	}
+	if r.Footprint() != before {
+		t.Fatal("copying zeroes onto a zero page materialised it")
+	}
+	// The snapshot still holds the original bytes.
+	if v, _ := snap.Restore().ReadU32(PageSize + 8); v != 0xdeadbeef {
+		t.Fatalf("copy wrote through to the snapshot: %#x", v)
+	}
+}
+
+func TestCopyAndFillBoundsLeaveMemoryUnchanged(t *testing.T) {
+	m := MustNew(2, 0)
+	orig := patterned(t, m, 2*PageSize)
+	size := m.Size()
+	// Zero-length at Size() is in bounds.
+	if err := m.Copy(size, size, 0); err != nil {
+		t.Fatalf("zero-length copy at Size: %v", err)
+	}
+	if err := m.Fill(size, 7, 0); err != nil {
+		t.Fatalf("zero-length fill at Size: %v", err)
+	}
+	bad := []func() error{
+		func() error { return m.Copy(size-10, 0, 11) },      // dst overruns
+		func() error { return m.Copy(0, size-10, 11) },      // src overruns
+		func() error { return m.Copy(size+1, 0, 0) },        // past the end, empty
+		func() error { return m.Copy(0xffffffff, 0, 2) },    // would wrap in 32 bits
+		func() error { return m.Copy(0, 0, -1) },            // negative length
+		func() error { return m.Fill(size-3, 9, 4) },        // overruns
+		func() error { return m.Fill(size-3, 0, 4) },        // zero fill overruns
+		func() error { return m.Fill(0xfffffff0, 9, 0x20) }, // would wrap in 32 bits
+		func() error { return m.Fill(0, 9, -1) },            // negative length
+	}
+	for i, f := range bad {
+		if err := f(); err != ErrOutOfBounds {
+			t.Fatalf("case %d: err = %v, want ErrOutOfBounds", i, err)
+		}
+	}
+	got, _ := m.ReadBytes(0, int(size))
+	if !bytes.Equal(got, orig) {
+		t.Fatal("a failed copy or fill changed memory")
+	}
+}
+
+func TestFillAcrossPages(t *testing.T) {
+	m := MustNew(3, 0)
+	want := patterned(t, m, 3*PageSize)
+	const off, n = PageSize - 5, PageSize + 9
+	for i := off; i < off+n; i++ {
+		want[i] = 0xab
+	}
+	if err := m.Fill(off, 0xab, n); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := m.ReadBytes(0, 3*PageSize)
+	if !bytes.Equal(got, want) {
+		t.Fatal("fill differs from reference")
+	}
+	// Zero fill of untouched pages stays lazy.
+	z := MustNew(2, 0)
+	if err := z.Fill(10, 0, PageSize); err != nil || z.Footprint() != 0 {
+		t.Fatalf("zero fill materialised pages: err=%v footprint=%d", err, z.Footprint())
+	}
+}
+
+func TestCopyFillAllocateNothing(t *testing.T) {
+	m := MustNew(2, 0)
+	patterned(t, m, 2*PageSize)
+	allocs := testing.AllocsPerRun(20, func() {
+		m.Copy(PageSize-50, PageSize-10, 4000)
+		m.Fill(PageSize-7, 3, 300)
+	})
+	if allocs != 0 {
+		t.Fatalf("copy+fill allocated %.0f times per run", allocs)
+	}
+}
+
+func TestPropertyCopyIsMemmove(t *testing.T) {
+	const size = 3 * PageSize
+	m := MustNew(3, 0)
+	ref := patterned(t, m, size)
+	f := func(dst, src, n uint32) bool {
+		d, s, c := int(dst%size), int(src%size), int(n%(2*PageSize))
+		err := m.Copy(uint32(d), uint32(s), c)
+		if d+c > size || s+c > size {
+			return err == ErrOutOfBounds
+		}
+		memmove(ref, d, s, c)
+		got, _ := m.ReadBytes(0, size)
+		return err == nil && bytes.Equal(got, ref)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -12,7 +12,8 @@ import (
 // HostFunc is a host-interface thunk: the trusted implementation injected
 // into the guest's import space during the linking phase (Fig 3). Arguments
 // and results use the VM's raw 64-bit value encoding (see EncodeF64 etc.).
-// A non-nil error aborts the guest with a TrapHostError.
+// A non-nil error aborts the guest with a TrapHostError. args aliases the
+// instance's value stack: it is valid only until the host function returns.
 type HostFunc func(inst *Instance, args []uint64) ([]uint64, error)
 
 // HostModule groups host functions under an import module name.
@@ -31,12 +32,24 @@ type Instance struct {
 	table   []int32
 	hosts   []HostFunc
 
-	// Steps counts executed instructions, the VM-level analogue of the CPU
-	// cycle accounting in Table 3; the cgroup layer charges from it.
+	// Steps counts executed source instructions, the VM-level analogue of
+	// the CPU cycle accounting in Table 3; the cgroup layer charges from
+	// it. It is charged a block at a time on entry to the block, so after a
+	// call that completes it equals the instructions the call executed,
+	// elided structure ops included; after a trap it may also count the
+	// unexecuted rest of the trapping block.
 	Steps uint64
-	// Fuel, when ≥ 0, is decremented per instruction; exhaustion traps. It
-	// implements the CPU quota half of resource isolation.
+	// Fuel, when ≥ 0, is the remaining instruction budget, charged per
+	// block like Steps. A block costing more than the fuel left traps
+	// TrapFuelExhausted before it runs, so Steps never exceeds the budget.
+	// It implements the CPU quota half of resource isolation.
 	Fuel int64
+
+	// stack holds every activation's locals and operand stack. top is its
+	// first free slot while a host function runs, so a call the host makes
+	// back into the instance starts above the caller's frames.
+	stack []uint64
+	top   int
 
 	maxDepth  int
 	skipStart bool
@@ -52,7 +65,9 @@ func WithMemory(m *wamem.Memory) InstanceOption {
 	return func(i *Instance) { i.mem = m }
 }
 
-// WithFuel enables CPU metering with the given instruction budget.
+// WithFuel enables CPU metering with a budget of fuel source
+// instructions. Fuel is charged per basic block on entry, so a call traps
+// TrapFuelExhausted up to one block before the budget is spent, never after.
 func WithFuel(fuel int64) InstanceOption {
 	return func(i *Instance) { i.Fuel = fuel }
 }
@@ -75,6 +90,11 @@ func WithSkipStart() InstanceOption {
 func Instantiate(mod *Module, imports map[string]HostModule, opts ...InstanceOption) (*Instance, error) {
 	if !mod.Validated {
 		return nil, errors.New("wavm: refusing to instantiate unvalidated module")
+	}
+	for fi := range mod.Funcs {
+		if mod.Funcs[fi].lowered == nil {
+			return nil, errors.New("wavm: module is marked validated but was not lowered by Validate or DecodeObject")
+		}
 	}
 	inst := &Instance{mod: mod, Fuel: -1, maxDepth: DefaultMaxCallDepth}
 	for _, o := range opts {
@@ -172,366 +192,779 @@ func (i *Instance) CallIndex(idx int, args ...uint64) ([]uint64, error) {
 	if len(args) != len(ft.Params) {
 		return nil, fmt.Errorf("wavm: function %d wants %d args, got %d", idx, len(ft.Params), len(args))
 	}
-	return i.invoke(idx, args, 0)
+	// A call made from inside a host function starts above the frames of
+	// the call already running.
+	base := i.top
+	i.reserve(base + len(args) + len(ft.Results))
+	copy(i.stack[base:], args)
+	end, err := i.callAt(idx, base+len(args), 0)
+	if err != nil {
+		return nil, err
+	}
+	if end == base {
+		return nil, nil
+	}
+	return append([]uint64(nil), i.stack[base:end]...), nil
 }
 
-func (i *Instance) invoke(fidx int, args []uint64, depth int) ([]uint64, error) {
+// reserve makes the value stack at least n slots long. Growing moves it, so
+// running frames re-slice it after every call.
+func (i *Instance) reserve(n int) {
+	if n <= len(i.stack) {
+		return
+	}
+	grown := make([]uint64, max(n, 2*len(i.stack), 16))
+	copy(grown, i.stack)
+	i.stack = grown
+}
+
+// callAt calls function fidx on the arguments at i.stack[top-params:top]
+// and leaves its results in their place, returning the new top.
+func (i *Instance) callAt(fidx, top, depth int) (int, error) {
 	if depth > i.maxDepth {
-		return nil, trap(TrapStackOverflow, fidx)
+		return 0, trap(TrapStackOverflow, fidx)
 	}
-	if fidx < len(i.mod.Imports) {
-		res, err := i.hosts[fidx](i, args)
-		if err != nil {
-			var t *Trap
-			if errors.As(err, &t) {
-				return nil, err
-			}
-			return nil, &Trap{Kind: TrapHostError, Func: fidx, Wrapped: err}
+	nimp := len(i.mod.Imports)
+	if fidx >= nimp {
+		lf := i.mod.Funcs[fidx-nimp].lowered
+		base := top - lf.params
+		i.reserve(base + lf.frame)
+		if err := i.run(fidx, lf, base, depth); err != nil {
+			return 0, err
 		}
-		return res, nil
+		return base + lf.results, nil
 	}
-	fn := &i.mod.Funcs[fidx-len(i.mod.Imports)]
-	ft := i.mod.Types[fn.Type]
-	locals := make([]uint64, len(ft.Params)+len(fn.Locals))
-	copy(locals, args)
-	return i.exec(fidx, fn, ft, locals, depth)
+	ft := &i.mod.Types[i.mod.Imports[fidx].Type]
+	base := top - len(ft.Params)
+	outer := i.top
+	i.top = top
+	res, err := i.hosts[fidx](i, i.stack[base:top:top])
+	i.top = outer
+	if err != nil {
+		var t *Trap
+		if errors.As(err, &t) {
+			return 0, err
+		}
+		return 0, &Trap{Kind: TrapHostError, Func: fidx, Wrapped: err}
+	}
+	n := len(ft.Results)
+	if len(res) < n {
+		return 0, &Trap{Kind: TrapHostError, Func: fidx,
+			Wrapped: fmt.Errorf("host function returned %d results, want %d", len(res), n)}
+	}
+	i.reserve(base + n)
+	copy(i.stack[base:base+n], res)
+	return base + n, nil
 }
 
-// exec runs one function body. The operand stack is pre-sized from the
-// validator's high-water mark so it never reallocates.
-func (i *Instance) exec(fidx int, fn *Function, ft FuncType, locals []uint64, depth int) ([]uint64, error) {
-	stack := make([]uint64, 0, fn.MaxStack)
-	code := fn.Code
-	mem := i.mem
-	pc := 0
-
-	push := func(v uint64) { stack = append(stack, v) }
-	pop := func() uint64 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		return v
-	}
-
-	for pc < len(code) {
-		in := &code[pc]
-		i.Steps++
-		if i.Fuel >= 0 {
-			if i.Fuel == 0 {
-				return nil, trap(TrapFuelExhausted, fidx)
-			}
-			i.Fuel--
+// charge bills a block of cost source instructions to Steps, refusing it
+// when a fuel budget is set and cannot cover the whole block.
+func (i *Instance) charge(cost int32) bool {
+	if i.Fuel >= 0 {
+		if int64(cost) > i.Fuel {
+			return false
 		}
-		switch in.Op {
-		case OpNop, OpBlock, OpLoop, OpEnd:
-			// Structure resolved at validation; nothing to do at runtime.
+		i.Fuel -= int64(cost)
+	}
+	i.Steps += uint64(cost)
+	return true
+}
 
+// addr computes the effective address of a size-byte access at dynamic
+// address dyn plus static offset off. The sum is taken in 64 bits, so it
+// cannot wrap, and ok is false when the access would end past memory.
+func addr(mem *wamem.Memory, dyn uint64, off int32, size uint64) (ea uint32, ok bool) {
+	e := uint64(uint32(dyn)) + uint64(uint32(off))
+	return uint32(e), e+size <= uint64(mem.Size())
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// run executes one activation of a module function whose frame starts at
+// i.stack[base]: its locals (the arguments already in place), then its
+// operand stack. A result is left in the frame's first slot.
+func (i *Instance) run(fidx int, lf *lowered, base, depth int) error {
+	if !i.charge(lf.entry) {
+		return trap(TrapFuelExhausted, fidx)
+	}
+	s := i.stack[base : base+lf.frame]
+	clear(s[lf.params:lf.locals])
+	code := lf.code
+	mem := i.mem
+	sp := lf.locals // next free operand slot
+	pc := 0
+	for {
+		in := &code[pc]
+		pc++
+		switch in.op {
 		case OpUnreachable:
-			return nil, trap(TrapUnreachable, fidx)
+			return trap(TrapUnreachable, fidx)
 
 		case OpIf:
-			if pop() == 0 {
-				pc = int(in.A)
+			sp--
+			if s[sp] != 0 {
+				if !i.charge(int32(in.fall)) {
+					return trap(TrapFuelExhausted, fidx)
+				}
 				continue
 			}
-		case OpElse:
-			pc = int(in.A)
-			continue
-
+			if !i.charge(in.c) {
+				return trap(TrapFuelExhausted, fidx)
+			}
+			pc = int(in.a)
+		case opJump:
+			if !i.charge(in.c) {
+				return trap(TrapFuelExhausted, fidx)
+			}
+			pc = int(in.a)
 		case OpBr:
-			stack = branchAdjust(stack, int(in.B), int(in.C))
-			pc = int(in.A)
-			continue
-		case OpBrIf:
-			if pop() != 0 {
-				stack = branchAdjust(stack, int(in.B), int(in.C))
-				pc = int(in.A)
-				continue
+			if in.arity != 0 {
+				s[in.b] = s[sp-1]
+			}
+			sp = int(in.b) + int(in.arity)
+			if !i.charge(in.c) {
+				return trap(TrapFuelExhausted, fidx)
+			}
+			pc = int(in.a)
+		case opCharge:
+			if !i.charge(in.c) {
+				return trap(TrapFuelExhausted, fidx)
+			}
+		case OpBrIf, opBrUnless:
+			sp--
+			if (s[sp] != 0) == (in.op == OpBrIf) {
+				if in.arity != 0 {
+					s[in.b] = s[sp-1]
+				}
+				sp = int(in.b) + int(in.arity)
+				if !i.charge(in.c) {
+					return trap(TrapFuelExhausted, fidx)
+				}
+				pc = int(in.a)
+			} else if !i.charge(int32(in.fall)) {
+				return trap(TrapFuelExhausted, fidx)
+			}
+		case opBrUnlessLtS:
+			sp -= 2
+			if int32(s[sp]) >= int32(s[sp+1]) {
+				if in.arity != 0 {
+					s[in.b] = s[sp-1]
+				}
+				sp = int(in.b) + int(in.arity)
+				if !i.charge(in.c) {
+					return trap(TrapFuelExhausted, fidx)
+				}
+				pc = int(in.a)
+			} else if !i.charge(int32(in.fall)) {
+				return trap(TrapFuelExhausted, fidx)
 			}
 		case OpBrTable:
-			targets := fn.BrTables[in.A]
-			idx := int(uint32(pop()))
+			targets := lf.tables[in.a]
+			sp--
+			idx := int(uint32(s[sp]))
 			if idx >= len(targets)-1 {
 				idx = len(targets) - 1 // final entry is the default
 			}
-			t := targets[idx]
-			stack = branchAdjust(stack, int(t.Arity), int(t.Height))
-			pc = int(t.PC)
-			continue
+			t := &targets[idx]
+			if t.arity != 0 {
+				s[t.slot] = s[sp-1]
+			}
+			sp = int(t.slot + t.arity)
+			if !i.charge(t.cost) {
+				return trap(TrapFuelExhausted, fidx)
+			}
+			pc = int(t.pc)
 
 		case OpReturn:
-			if len(ft.Results) == 1 {
-				return []uint64{pop()}, nil
+			if lf.results == 1 {
+				s[0] = s[sp-1]
 			}
-			return nil, nil
+			return nil
 
 		case OpCall:
-			callee := int(in.A)
-			cft, err := i.mod.FuncTypeAt(callee)
+			top, err := i.callAt(int(in.a), base+sp, depth+1)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			n := len(cft.Params)
-			args := make([]uint64, n)
-			copy(args, stack[len(stack)-n:])
-			stack = stack[:len(stack)-n]
-			res, err := i.invoke(callee, args, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			stack = append(stack, res...)
-
+			s = i.stack[base : base+lf.frame]
+			sp = top - base
 		case OpCallIndirect:
-			want := i.mod.Types[in.A]
-			elem := int(uint32(pop()))
-			if elem >= len(i.table) {
-				return nil, trap(TrapUndefinedElement, fidx)
+			sp--
+			elem := int(uint32(s[sp]))
+			if elem >= len(i.table) || i.table[elem] < 0 {
+				return trap(TrapUndefinedElement, fidx)
 			}
 			callee := int(i.table[elem])
-			if callee < 0 {
-				return nil, trap(TrapUndefinedElement, fidx)
-			}
 			cft, err := i.mod.FuncTypeAt(callee)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if !cft.Equal(want) {
-				return nil, trap(TrapIndirectTypeMismatch, fidx)
+			if !cft.Equal(i.mod.Types[in.a]) {
+				return trap(TrapIndirectTypeMismatch, fidx)
 			}
-			n := len(cft.Params)
-			args := make([]uint64, n)
-			copy(args, stack[len(stack)-n:])
-			stack = stack[:len(stack)-n]
-			res, err := i.invoke(callee, args, depth+1)
+			top, err := i.callAt(callee, base+sp, depth+1)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			stack = append(stack, res...)
+			s = i.stack[base : base+lf.frame]
+			sp = top - base
 
 		case OpDrop:
-			pop()
+			sp--
 		case OpSelect:
-			c := pop()
-			b := pop()
-			a := pop()
-			if c != 0 {
-				push(a)
-			} else {
-				push(b)
+			sp -= 2
+			if s[sp+1] == 0 {
+				s[sp-1] = s[sp]
 			}
 
 		case OpLocalGet:
-			push(locals[in.A])
+			s[sp] = s[in.a]
+			sp++
 		case OpLocalSet:
-			locals[in.A] = pop()
+			sp--
+			s[in.a] = s[sp]
 		case OpLocalTee:
-			locals[in.A] = stack[len(stack)-1]
+			s[in.a] = s[sp-1]
 		case OpGlobalGet:
-			push(i.globals[in.A])
+			s[sp] = i.globals[in.a]
+			sp++
 		case OpGlobalSet:
-			i.globals[in.A] = pop()
+			sp--
+			i.globals[in.a] = s[sp]
 
 		case OpI32Const, OpF32Const:
-			push(uint64(uint32(in.C)))
+			s[sp] = uint64(uint32(in.c))
+			sp++
 		case OpI64Const, OpF64Const:
-			push(uint64(in.C))
+			s[sp] = uint64(uint32(in.c)) | uint64(uint32(in.b))<<32
+			sp++
 
-		case OpMemorySize:
-			push(uint64(uint32(mem.Pages())))
-		case OpMemoryGrow:
-			delta := int(int32(uint32(pop())))
-			prev, err := mem.Grow(delta)
+		// --- fused pairs ---
+		case opLocalGet2:
+			s[sp] = s[in.a]
+			s[sp+1] = s[in.b]
+			sp += 2
+		case opI32ConstMul:
+			s[sp-1] = uint64(uint32(s[sp-1]) * uint32(in.c))
+		case opI32MulAdd:
+			sp -= 2
+			s[sp-1] = uint64(uint32(s[sp-1]) + uint32(s[sp])*uint32(s[sp+1]))
+		case opI32AddConst:
+			s[sp-1] = uint64(uint32(s[sp-1]) + uint32(in.c))
+		case opF64MulAdd:
+			sp -= 2
+			// The explicit conversion rounds the product, as two wasm
+			// instructions would, and keeps Go from fusing it into an FMA.
+			s[sp-1] = EncodeF64(DecodeF64(s[sp-1]) + float64(DecodeF64(s[sp])*DecodeF64(s[sp+1])))
+		case opLocalGetI32Add:
+			s[sp-1] = uint64(uint32(s[sp-1]) + uint32(s[in.a]))
+		case opLocalGetI32Mul:
+			s[sp-1] = uint64(uint32(s[sp-1]) * uint32(s[in.a]))
+		case opLocalAddConst:
+			s[in.b] = uint64(uint32(s[in.a]) + uint32(in.c))
+		case opF64LoadScaled:
+			sp--
+			ea, ok := addr(mem, uint64(uint32(s[sp-1])+uint32(s[sp])*uint32(in.c)), in.a, 8)
+			if !ok {
+				return trap(TrapOutOfBounds, fidx)
+			}
+			v, err := mem.ReadU64(ea)
 			if err != nil {
-				push(uint64(uint32(0xffffffff))) // -1 on failure
+				return trap(TrapOutOfBounds, fidx)
+			}
+			s[sp-1] = v
+		case opI32AddF64Load:
+			sp--
+			ea, ok := addr(mem, uint64(uint32(s[sp-1])+uint32(s[sp])), in.a, 8)
+			if !ok {
+				return trap(TrapOutOfBounds, fidx)
+			}
+			v, err := mem.ReadU64(ea)
+			if err != nil {
+				return trap(TrapOutOfBounds, fidx)
+			}
+			s[sp-1] = v
+
+		// --- memory ---
+		case OpI32Load, OpF32Load, OpI64Load32U, OpI64Load32S:
+			ea, ok := addr(mem, s[sp-1], in.a, 4)
+			if !ok {
+				return trap(TrapOutOfBounds, fidx)
+			}
+			v, err := mem.ReadU32(ea)
+			if err != nil {
+				return trap(TrapOutOfBounds, fidx)
+			}
+			if in.op == OpI64Load32S {
+				s[sp-1] = uint64(int64(int32(v)))
 			} else {
-				push(uint64(uint32(prev)))
+				s[sp-1] = uint64(v)
+			}
+		case OpI64Load, OpF64Load:
+			ea, ok := addr(mem, s[sp-1], in.a, 8)
+			if !ok {
+				return trap(TrapOutOfBounds, fidx)
+			}
+			v, err := mem.ReadU64(ea)
+			if err != nil {
+				return trap(TrapOutOfBounds, fidx)
+			}
+			s[sp-1] = v
+		case OpI32Load8U, OpI32Load8S:
+			ea, ok := addr(mem, s[sp-1], in.a, 1)
+			if !ok {
+				return trap(TrapOutOfBounds, fidx)
+			}
+			v, err := mem.ReadU8(ea)
+			if err != nil {
+				return trap(TrapOutOfBounds, fidx)
+			}
+			if in.op == OpI32Load8S {
+				s[sp-1] = uint64(uint32(int32(int8(v))))
+			} else {
+				s[sp-1] = uint64(v)
+			}
+		case OpI32Load16U, OpI32Load16S:
+			ea, ok := addr(mem, s[sp-1], in.a, 2)
+			if !ok {
+				return trap(TrapOutOfBounds, fidx)
+			}
+			v, err := mem.ReadU16(ea)
+			if err != nil {
+				return trap(TrapOutOfBounds, fidx)
+			}
+			if in.op == OpI32Load16S {
+				s[sp-1] = uint64(uint32(int32(int16(v))))
+			} else {
+				s[sp-1] = uint64(v)
+			}
+		case OpI32Store, OpF32Store, OpI64Store32:
+			sp -= 2
+			ea, ok := addr(mem, s[sp], in.a, 4)
+			if !ok || mem.WriteU32(ea, uint32(s[sp+1])) != nil {
+				return trap(TrapOutOfBounds, fidx)
+			}
+		case OpI64Store, OpF64Store:
+			sp -= 2
+			ea, ok := addr(mem, s[sp], in.a, 8)
+			if !ok || mem.WriteU64(ea, s[sp+1]) != nil {
+				return trap(TrapOutOfBounds, fidx)
+			}
+		case OpI32Store8:
+			sp -= 2
+			ea, ok := addr(mem, s[sp], in.a, 1)
+			if !ok || mem.WriteU8(ea, byte(s[sp+1])) != nil {
+				return trap(TrapOutOfBounds, fidx)
+			}
+		case OpI32Store16:
+			sp -= 2
+			ea, ok := addr(mem, s[sp], in.a, 2)
+			if !ok || mem.WriteU16(ea, uint16(s[sp+1])) != nil {
+				return trap(TrapOutOfBounds, fidx)
+			}
+		case OpMemorySize:
+			s[sp] = uint64(uint32(mem.Pages()))
+			sp++
+		case OpMemoryGrow:
+			prev, err := mem.Grow(int(int32(uint32(s[sp-1]))))
+			if err != nil {
+				s[sp-1] = uint64(uint32(0xffffffff)) // -1 on failure
+			} else {
+				s[sp-1] = uint64(uint32(prev))
 			}
 		case OpMemoryCopy:
-			n := int(uint32(pop()))
-			src := uint32(pop())
-			dst := uint32(pop())
-			b, err := mem.ReadBytes(src, n)
-			if err != nil {
-				return nil, trap(TrapOutOfBounds, fidx)
-			}
-			if err := mem.WriteBytes(dst, b); err != nil {
-				return nil, trap(TrapOutOfBounds, fidx)
+			sp -= 3
+			if mem.Copy(uint32(s[sp]), uint32(s[sp+1]), int(uint32(s[sp+2]))) != nil {
+				return trap(TrapOutOfBounds, fidx)
 			}
 		case OpMemoryFill:
-			n := int(uint32(pop()))
-			val := byte(uint32(pop()))
-			dst := uint32(pop())
-			if val == 0 {
-				if err := mem.Zero(dst, n); err != nil {
-					return nil, trap(TrapOutOfBounds, fidx)
-				}
-			} else {
-				b := make([]byte, n)
-				for j := range b {
-					b[j] = val
-				}
-				if err := mem.WriteBytes(dst, b); err != nil {
-					return nil, trap(TrapOutOfBounds, fidx)
-				}
+			sp -= 3
+			if mem.Fill(uint32(s[sp]), byte(s[sp+1]), int(uint32(s[sp+2]))) != nil {
+				return trap(TrapOutOfBounds, fidx)
 			}
+
+		// --- i32 ---
+		case OpI32Eqz:
+			s[sp-1] = b2u(uint32(s[sp-1]) == 0)
+		case OpI32Eq:
+			sp--
+			s[sp-1] = b2u(uint32(s[sp-1]) == uint32(s[sp]))
+		case OpI32Ne:
+			sp--
+			s[sp-1] = b2u(uint32(s[sp-1]) != uint32(s[sp]))
+		case OpI32LtS:
+			sp--
+			s[sp-1] = b2u(int32(s[sp-1]) < int32(s[sp]))
+		case OpI32LtU:
+			sp--
+			s[sp-1] = b2u(uint32(s[sp-1]) < uint32(s[sp]))
+		case OpI32GtS:
+			sp--
+			s[sp-1] = b2u(int32(s[sp-1]) > int32(s[sp]))
+		case OpI32GtU:
+			sp--
+			s[sp-1] = b2u(uint32(s[sp-1]) > uint32(s[sp]))
+		case OpI32LeS:
+			sp--
+			s[sp-1] = b2u(int32(s[sp-1]) <= int32(s[sp]))
+		case OpI32LeU:
+			sp--
+			s[sp-1] = b2u(uint32(s[sp-1]) <= uint32(s[sp]))
+		case OpI32GeS:
+			sp--
+			s[sp-1] = b2u(int32(s[sp-1]) >= int32(s[sp]))
+		case OpI32GeU:
+			sp--
+			s[sp-1] = b2u(uint32(s[sp-1]) >= uint32(s[sp]))
+		case OpI32Clz:
+			s[sp-1] = uint64(uint32(bits.LeadingZeros32(uint32(s[sp-1]))))
+		case OpI32Ctz:
+			s[sp-1] = uint64(uint32(bits.TrailingZeros32(uint32(s[sp-1]))))
+		case OpI32Popcnt:
+			s[sp-1] = uint64(uint32(bits.OnesCount32(uint32(s[sp-1]))))
+		case OpI32Add:
+			sp--
+			s[sp-1] = uint64(uint32(s[sp-1]) + uint32(s[sp]))
+		case OpI32Sub:
+			sp--
+			s[sp-1] = uint64(uint32(s[sp-1]) - uint32(s[sp]))
+		case OpI32Mul:
+			sp--
+			s[sp-1] = uint64(uint32(s[sp-1]) * uint32(s[sp]))
+		case OpI32DivS:
+			sp--
+			n, d := int32(s[sp-1]), int32(s[sp])
+			if d == 0 {
+				return trap(TrapDivByZero, fidx)
+			}
+			if n == math.MinInt32 && d == -1 {
+				return trap(TrapIntOverflow, fidx)
+			}
+			s[sp-1] = uint64(uint32(n / d))
+		case OpI32DivU:
+			sp--
+			d := uint32(s[sp])
+			if d == 0 {
+				return trap(TrapDivByZero, fidx)
+			}
+			s[sp-1] = uint64(uint32(s[sp-1]) / d)
+		case OpI32RemS:
+			sp--
+			n, d := int32(s[sp-1]), int32(s[sp])
+			if d == 0 {
+				return trap(TrapDivByZero, fidx)
+			}
+			if d == -1 {
+				s[sp-1] = 0 // also covers MinInt32 % -1, which Go would trap
+			} else {
+				s[sp-1] = uint64(uint32(n % d))
+			}
+		case OpI32RemU:
+			sp--
+			d := uint32(s[sp])
+			if d == 0 {
+				return trap(TrapDivByZero, fidx)
+			}
+			s[sp-1] = uint64(uint32(s[sp-1]) % d)
+		case OpI32And:
+			sp--
+			s[sp-1] = uint64(uint32(s[sp-1]) & uint32(s[sp]))
+		case OpI32Or:
+			sp--
+			s[sp-1] = uint64(uint32(s[sp-1]) | uint32(s[sp]))
+		case OpI32Xor:
+			sp--
+			s[sp-1] = uint64(uint32(s[sp-1]) ^ uint32(s[sp]))
+		case OpI32Shl:
+			sp--
+			s[sp-1] = uint64(uint32(s[sp-1]) << (uint32(s[sp]) & 31))
+		case OpI32ShrS:
+			sp--
+			s[sp-1] = uint64(uint32(int32(s[sp-1]) >> (uint32(s[sp]) & 31)))
+		case OpI32ShrU:
+			sp--
+			s[sp-1] = uint64(uint32(s[sp-1]) >> (uint32(s[sp]) & 31))
+		case OpI32Rotl:
+			sp--
+			s[sp-1] = uint64(bits.RotateLeft32(uint32(s[sp-1]), int(uint32(s[sp])&31)))
+		case OpI32Rotr:
+			sp--
+			s[sp-1] = uint64(bits.RotateLeft32(uint32(s[sp-1]), -int(uint32(s[sp])&31)))
+
+		// --- i64 ---
+		case OpI64Eqz:
+			s[sp-1] = b2u(s[sp-1] == 0)
+		case OpI64Eq:
+			sp--
+			s[sp-1] = b2u(s[sp-1] == s[sp])
+		case OpI64Ne:
+			sp--
+			s[sp-1] = b2u(s[sp-1] != s[sp])
+		case OpI64LtS:
+			sp--
+			s[sp-1] = b2u(int64(s[sp-1]) < int64(s[sp]))
+		case OpI64LtU:
+			sp--
+			s[sp-1] = b2u(s[sp-1] < s[sp])
+		case OpI64GtS:
+			sp--
+			s[sp-1] = b2u(int64(s[sp-1]) > int64(s[sp]))
+		case OpI64GtU:
+			sp--
+			s[sp-1] = b2u(s[sp-1] > s[sp])
+		case OpI64LeS:
+			sp--
+			s[sp-1] = b2u(int64(s[sp-1]) <= int64(s[sp]))
+		case OpI64LeU:
+			sp--
+			s[sp-1] = b2u(s[sp-1] <= s[sp])
+		case OpI64GeS:
+			sp--
+			s[sp-1] = b2u(int64(s[sp-1]) >= int64(s[sp]))
+		case OpI64GeU:
+			sp--
+			s[sp-1] = b2u(s[sp-1] >= s[sp])
+		case OpI64Clz:
+			s[sp-1] = uint64(bits.LeadingZeros64(s[sp-1]))
+		case OpI64Ctz:
+			s[sp-1] = uint64(bits.TrailingZeros64(s[sp-1]))
+		case OpI64Popcnt:
+			s[sp-1] = uint64(bits.OnesCount64(s[sp-1]))
+		case OpI64Add:
+			sp--
+			s[sp-1] += s[sp]
+		case OpI64Sub:
+			sp--
+			s[sp-1] -= s[sp]
+		case OpI64Mul:
+			sp--
+			s[sp-1] *= s[sp]
+		case OpI64DivS:
+			sp--
+			n, d := int64(s[sp-1]), int64(s[sp])
+			if d == 0 {
+				return trap(TrapDivByZero, fidx)
+			}
+			if n == math.MinInt64 && d == -1 {
+				return trap(TrapIntOverflow, fidx)
+			}
+			s[sp-1] = uint64(n / d)
+		case OpI64DivU:
+			sp--
+			if s[sp] == 0 {
+				return trap(TrapDivByZero, fidx)
+			}
+			s[sp-1] /= s[sp]
+		case OpI64RemS:
+			sp--
+			n, d := int64(s[sp-1]), int64(s[sp])
+			if d == 0 {
+				return trap(TrapDivByZero, fidx)
+			}
+			if d == -1 {
+				s[sp-1] = 0 // also covers MinInt64 % -1, which Go would trap
+			} else {
+				s[sp-1] = uint64(n % d)
+			}
+		case OpI64RemU:
+			sp--
+			if s[sp] == 0 {
+				return trap(TrapDivByZero, fidx)
+			}
+			s[sp-1] %= s[sp]
+		case OpI64And:
+			sp--
+			s[sp-1] &= s[sp]
+		case OpI64Or:
+			sp--
+			s[sp-1] |= s[sp]
+		case OpI64Xor:
+			sp--
+			s[sp-1] ^= s[sp]
+		case OpI64Shl:
+			sp--
+			s[sp-1] <<= s[sp] & 63
+		case OpI64ShrS:
+			sp--
+			s[sp-1] = uint64(int64(s[sp-1]) >> (s[sp] & 63))
+		case OpI64ShrU:
+			sp--
+			s[sp-1] >>= s[sp] & 63
+		case OpI64Rotl:
+			sp--
+			s[sp-1] = bits.RotateLeft64(s[sp-1], int(s[sp]&63))
+		case OpI64Rotr:
+			sp--
+			s[sp-1] = bits.RotateLeft64(s[sp-1], -int(s[sp]&63))
+
+		// --- f64 ---
+		case OpF64Eq:
+			sp--
+			s[sp-1] = b2u(DecodeF64(s[sp-1]) == DecodeF64(s[sp]))
+		case OpF64Ne:
+			sp--
+			s[sp-1] = b2u(DecodeF64(s[sp-1]) != DecodeF64(s[sp]))
+		case OpF64Lt:
+			sp--
+			s[sp-1] = b2u(DecodeF64(s[sp-1]) < DecodeF64(s[sp]))
+		case OpF64Gt:
+			sp--
+			s[sp-1] = b2u(DecodeF64(s[sp-1]) > DecodeF64(s[sp]))
+		case OpF64Le:
+			sp--
+			s[sp-1] = b2u(DecodeF64(s[sp-1]) <= DecodeF64(s[sp]))
+		case OpF64Ge:
+			sp--
+			s[sp-1] = b2u(DecodeF64(s[sp-1]) >= DecodeF64(s[sp]))
+		case OpF64Abs:
+			s[sp-1] = EncodeF64(math.Abs(DecodeF64(s[sp-1])))
+		case OpF64Neg:
+			s[sp-1] ^= 1 << 63
+		case OpF64Ceil:
+			s[sp-1] = EncodeF64(math.Ceil(DecodeF64(s[sp-1])))
+		case OpF64Floor:
+			s[sp-1] = EncodeF64(math.Floor(DecodeF64(s[sp-1])))
+		case OpF64Trunc:
+			s[sp-1] = EncodeF64(math.Trunc(DecodeF64(s[sp-1])))
+		case OpF64Nearest:
+			s[sp-1] = EncodeF64(math.RoundToEven(DecodeF64(s[sp-1])))
+		case OpF64Sqrt:
+			s[sp-1] = EncodeF64(math.Sqrt(DecodeF64(s[sp-1])))
+		case OpF64Add:
+			sp--
+			s[sp-1] = EncodeF64(DecodeF64(s[sp-1]) + DecodeF64(s[sp]))
+		case OpF64Sub:
+			sp--
+			s[sp-1] = EncodeF64(DecodeF64(s[sp-1]) - DecodeF64(s[sp]))
+		case OpF64Mul:
+			sp--
+			s[sp-1] = EncodeF64(DecodeF64(s[sp-1]) * DecodeF64(s[sp]))
+		case OpF64Div:
+			sp--
+			s[sp-1] = EncodeF64(DecodeF64(s[sp-1]) / DecodeF64(s[sp]))
+		case OpF64Min:
+			sp--
+			s[sp-1] = EncodeF64(wasmMin(DecodeF64(s[sp-1]), DecodeF64(s[sp])))
+		case OpF64Max:
+			sp--
+			s[sp-1] = EncodeF64(wasmMax(DecodeF64(s[sp-1]), DecodeF64(s[sp])))
+		case OpF64Copysign:
+			sp--
+			s[sp-1] = EncodeF64(math.Copysign(DecodeF64(s[sp-1]), DecodeF64(s[sp])))
+
+		// --- f32 ---
+		case OpF32Eq:
+			sp--
+			s[sp-1] = b2u(DecodeF32(s[sp-1]) == DecodeF32(s[sp]))
+		case OpF32Ne:
+			sp--
+			s[sp-1] = b2u(DecodeF32(s[sp-1]) != DecodeF32(s[sp]))
+		case OpF32Lt:
+			sp--
+			s[sp-1] = b2u(DecodeF32(s[sp-1]) < DecodeF32(s[sp]))
+		case OpF32Gt:
+			sp--
+			s[sp-1] = b2u(DecodeF32(s[sp-1]) > DecodeF32(s[sp]))
+		case OpF32Le:
+			sp--
+			s[sp-1] = b2u(DecodeF32(s[sp-1]) <= DecodeF32(s[sp]))
+		case OpF32Ge:
+			sp--
+			s[sp-1] = b2u(DecodeF32(s[sp-1]) >= DecodeF32(s[sp]))
+		case OpF32Abs:
+			s[sp-1] = EncodeF32(float32(math.Abs(float64(DecodeF32(s[sp-1])))))
+		case OpF32Neg:
+			s[sp-1] = uint64(uint32(s[sp-1]) ^ (1 << 31))
+		case OpF32Sqrt:
+			s[sp-1] = EncodeF32(float32(math.Sqrt(float64(DecodeF32(s[sp-1])))))
+		case OpF32Add:
+			sp--
+			s[sp-1] = EncodeF32(DecodeF32(s[sp-1]) + DecodeF32(s[sp]))
+		case OpF32Sub:
+			sp--
+			s[sp-1] = EncodeF32(DecodeF32(s[sp-1]) - DecodeF32(s[sp]))
+		case OpF32Mul:
+			sp--
+			s[sp-1] = EncodeF32(DecodeF32(s[sp-1]) * DecodeF32(s[sp]))
+		case OpF32Div:
+			sp--
+			s[sp-1] = EncodeF32(DecodeF32(s[sp-1]) / DecodeF32(s[sp]))
+		case OpF32Min:
+			sp--
+			s[sp-1] = EncodeF32(float32(wasmMin(float64(DecodeF32(s[sp-1])), float64(DecodeF32(s[sp])))))
+		case OpF32Max:
+			sp--
+			s[sp-1] = EncodeF32(float32(wasmMax(float64(DecodeF32(s[sp-1])), float64(DecodeF32(s[sp])))))
+
+		// --- conversions ---
+		case OpI32WrapI64, OpI64ExtendI32U, OpI32ReinterpretF32, OpF32ReinterpretI32:
+			s[sp-1] = uint64(uint32(s[sp-1]))
+		case OpI64ExtendI32S:
+			s[sp-1] = uint64(int64(int32(s[sp-1])))
+		case OpI32TruncF64S:
+			f := DecodeF64(s[sp-1])
+			if math.IsNaN(f) || f >= 2147483648 || f < -2147483649 {
+				return trap(TrapInvalidConversion, fidx)
+			}
+			s[sp-1] = uint64(uint32(int32(f)))
+		case OpI32TruncF64U:
+			f := DecodeF64(s[sp-1])
+			if math.IsNaN(f) || f >= 4294967296 || f <= -1 {
+				return trap(TrapInvalidConversion, fidx)
+			}
+			s[sp-1] = uint64(uint32(f))
+		case OpI64TruncF64S:
+			f := DecodeF64(s[sp-1])
+			if math.IsNaN(f) || f >= 9.223372036854776e18 || f < -9.223372036854776e18 {
+				return trap(TrapInvalidConversion, fidx)
+			}
+			s[sp-1] = uint64(int64(f))
+		case OpI64TruncF64U:
+			f := DecodeF64(s[sp-1])
+			if math.IsNaN(f) || f >= 1.8446744073709552e19 || f <= -1 {
+				return trap(TrapInvalidConversion, fidx)
+			}
+			s[sp-1] = uint64(f)
+		case OpI32TruncF32S:
+			f := float64(DecodeF32(s[sp-1]))
+			if math.IsNaN(f) || f >= 2147483648 || f < -2147483649 {
+				return trap(TrapInvalidConversion, fidx)
+			}
+			s[sp-1] = uint64(uint32(int32(f)))
+		case OpI32TruncF32U:
+			f := float64(DecodeF32(s[sp-1]))
+			if math.IsNaN(f) || f >= 4294967296 || f <= -1 {
+				return trap(TrapInvalidConversion, fidx)
+			}
+			s[sp-1] = uint64(uint32(f))
+		case OpF64ConvertI32S:
+			s[sp-1] = EncodeF64(float64(int32(s[sp-1])))
+		case OpF64ConvertI32U:
+			s[sp-1] = EncodeF64(float64(uint32(s[sp-1])))
+		case OpF64ConvertI64S:
+			s[sp-1] = EncodeF64(float64(int64(s[sp-1])))
+		case OpF64ConvertI64U:
+			s[sp-1] = EncodeF64(float64(s[sp-1]))
+		case OpF32ConvertI32S:
+			s[sp-1] = EncodeF32(float32(int32(s[sp-1])))
+		case OpF32ConvertI64S:
+			s[sp-1] = EncodeF32(float32(int64(s[sp-1])))
+		case OpF64PromoteF32:
+			s[sp-1] = EncodeF64(float64(DecodeF32(s[sp-1])))
+		case OpF32DemoteF64:
+			s[sp-1] = EncodeF32(float32(DecodeF64(s[sp-1])))
+		case OpI64ReinterpretF64, OpF64ReinterpretI64:
+			// Raw encoding is already the reinterpretation.
 
 		default:
-			if in.Op >= OpI32Load && in.Op <= OpI64Store32 {
-				if err := i.memAccess(in, &stack, fidx); err != nil {
-					return nil, err
-				}
-			} else if err := i.numeric(in, &stack, fidx); err != nil {
-				return nil, err
-			}
+			return fmt.Errorf("wavm: unimplemented opcode %s", in.op)
 		}
-		pc++
 	}
-	if len(ft.Results) == 1 {
-		return []uint64{stack[len(stack)-1]}, nil
-	}
-	return nil, nil
-}
-
-// branchAdjust implements the wasm branch stack discipline: keep the top
-// arity values, cut the stack back to the label's entry height.
-func branchAdjust(stack []uint64, arity, height int) []uint64 {
-	if arity > 0 {
-		copy(stack[height:], stack[len(stack)-arity:])
-	}
-	return stack[:height+arity]
-}
-
-func (i *Instance) effAddr(in *Instr, dyn uint64, size int) (uint32, error) {
-	ea := dyn + uint64(uint32(in.A))
-	if ea+uint64(size) > uint64(i.mem.Size()) {
-		return 0, wamem.ErrOutOfBounds
-	}
-	return uint32(ea), nil
-}
-
-func (i *Instance) memAccess(in *Instr, stackp *[]uint64, fidx int) error {
-	stack := *stackp
-	oob := func() error { return trap(TrapOutOfBounds, fidx) }
-	switch in.Op {
-	case OpI32Load, OpF32Load:
-		addr, err := i.effAddr(in, uint64(uint32(stack[len(stack)-1])), 4)
-		if err != nil {
-			return oob()
-		}
-		v, err := i.mem.ReadU32(addr)
-		if err != nil {
-			return oob()
-		}
-		stack[len(stack)-1] = uint64(v)
-	case OpI64Load, OpF64Load:
-		addr, err := i.effAddr(in, uint64(uint32(stack[len(stack)-1])), 8)
-		if err != nil {
-			return oob()
-		}
-		v, err := i.mem.ReadU64(addr)
-		if err != nil {
-			return oob()
-		}
-		stack[len(stack)-1] = v
-	case OpI32Load8U, OpI32Load8S:
-		addr, err := i.effAddr(in, uint64(uint32(stack[len(stack)-1])), 1)
-		if err != nil {
-			return oob()
-		}
-		v, err := i.mem.ReadU8(addr)
-		if err != nil {
-			return oob()
-		}
-		if in.Op == OpI32Load8S {
-			stack[len(stack)-1] = uint64(uint32(int32(int8(v))))
-		} else {
-			stack[len(stack)-1] = uint64(v)
-		}
-	case OpI32Load16U, OpI32Load16S:
-		addr, err := i.effAddr(in, uint64(uint32(stack[len(stack)-1])), 2)
-		if err != nil {
-			return oob()
-		}
-		v, err := i.mem.ReadU16(addr)
-		if err != nil {
-			return oob()
-		}
-		if in.Op == OpI32Load16S {
-			stack[len(stack)-1] = uint64(uint32(int32(int16(v))))
-		} else {
-			stack[len(stack)-1] = uint64(v)
-		}
-	case OpI64Load32U, OpI64Load32S:
-		addr, err := i.effAddr(in, uint64(uint32(stack[len(stack)-1])), 4)
-		if err != nil {
-			return oob()
-		}
-		v, err := i.mem.ReadU32(addr)
-		if err != nil {
-			return oob()
-		}
-		if in.Op == OpI64Load32S {
-			stack[len(stack)-1] = uint64(int64(int32(v)))
-		} else {
-			stack[len(stack)-1] = uint64(v)
-		}
-
-	case OpI32Store, OpF32Store:
-		val := uint32(stack[len(stack)-1])
-		addr, err := i.effAddr(in, uint64(uint32(stack[len(stack)-2])), 4)
-		*stackp = stack[:len(stack)-2]
-		if err != nil {
-			return oob()
-		}
-		if err := i.mem.WriteU32(addr, val); err != nil {
-			return oob()
-		}
-		return nil
-	case OpI64Store, OpF64Store:
-		val := stack[len(stack)-1]
-		addr, err := i.effAddr(in, uint64(uint32(stack[len(stack)-2])), 8)
-		*stackp = stack[:len(stack)-2]
-		if err != nil {
-			return oob()
-		}
-		if err := i.mem.WriteU64(addr, val); err != nil {
-			return oob()
-		}
-		return nil
-	case OpI32Store8:
-		val := byte(stack[len(stack)-1])
-		addr, err := i.effAddr(in, uint64(uint32(stack[len(stack)-2])), 1)
-		*stackp = stack[:len(stack)-2]
-		if err != nil {
-			return oob()
-		}
-		if err := i.mem.WriteU8(addr, val); err != nil {
-			return oob()
-		}
-		return nil
-	case OpI32Store16:
-		val := uint16(stack[len(stack)-1])
-		addr, err := i.effAddr(in, uint64(uint32(stack[len(stack)-2])), 2)
-		*stackp = stack[:len(stack)-2]
-		if err != nil {
-			return oob()
-		}
-		if err := i.mem.WriteU16(addr, val); err != nil {
-			return oob()
-		}
-		return nil
-	case OpI64Store32:
-		val := uint32(stack[len(stack)-1])
-		addr, err := i.effAddr(in, uint64(uint32(stack[len(stack)-2])), 4)
-		*stackp = stack[:len(stack)-2]
-		if err != nil {
-			return oob()
-		}
-		if err := i.mem.WriteU32(addr, val); err != nil {
-			return oob()
-		}
-		return nil
-	}
-	return nil
 }
 
 // Raw value encoding helpers, shared with host-interface thunks.
@@ -553,342 +986,6 @@ func EncodeF32(v float32) uint64 { return uint64(math.Float32bits(v)) }
 
 // DecodeF32 decodes a raw VM value as float32.
 func DecodeF32(v uint64) float32 { return math.Float32frombits(uint32(v)) }
-
-func (i *Instance) numeric(in *Instr, stackp *[]uint64, fidx int) error {
-	stack := *stackp
-	top := len(stack) - 1
-	pushBool := func(b bool) {
-		if b {
-			stack[top-1] = 1
-		} else {
-			stack[top-1] = 0
-		}
-		*stackp = stack[:top]
-	}
-	pushBool1 := func(b bool) {
-		if b {
-			stack[top] = 1
-		} else {
-			stack[top] = 0
-		}
-	}
-	bin := func(v uint64) {
-		stack[top-1] = v
-		*stackp = stack[:top]
-	}
-
-	switch in.Op {
-	// --- i32 ---
-	case OpI32Eqz:
-		pushBool1(uint32(stack[top]) == 0)
-	case OpI32Eq:
-		pushBool(uint32(stack[top-1]) == uint32(stack[top]))
-	case OpI32Ne:
-		pushBool(uint32(stack[top-1]) != uint32(stack[top]))
-	case OpI32LtS:
-		pushBool(int32(stack[top-1]) < int32(stack[top]))
-	case OpI32LtU:
-		pushBool(uint32(stack[top-1]) < uint32(stack[top]))
-	case OpI32GtS:
-		pushBool(int32(stack[top-1]) > int32(stack[top]))
-	case OpI32GtU:
-		pushBool(uint32(stack[top-1]) > uint32(stack[top]))
-	case OpI32LeS:
-		pushBool(int32(stack[top-1]) <= int32(stack[top]))
-	case OpI32LeU:
-		pushBool(uint32(stack[top-1]) <= uint32(stack[top]))
-	case OpI32GeS:
-		pushBool(int32(stack[top-1]) >= int32(stack[top]))
-	case OpI32GeU:
-		pushBool(uint32(stack[top-1]) >= uint32(stack[top]))
-	case OpI32Clz:
-		stack[top] = uint64(uint32(bits.LeadingZeros32(uint32(stack[top]))))
-	case OpI32Ctz:
-		stack[top] = uint64(uint32(bits.TrailingZeros32(uint32(stack[top]))))
-	case OpI32Popcnt:
-		stack[top] = uint64(uint32(bits.OnesCount32(uint32(stack[top]))))
-	case OpI32Add:
-		bin(uint64(uint32(stack[top-1]) + uint32(stack[top])))
-	case OpI32Sub:
-		bin(uint64(uint32(stack[top-1]) - uint32(stack[top])))
-	case OpI32Mul:
-		bin(uint64(uint32(stack[top-1]) * uint32(stack[top])))
-	case OpI32DivS:
-		d := int32(stack[top])
-		n := int32(stack[top-1])
-		if d == 0 {
-			return trap(TrapDivByZero, fidx)
-		}
-		if n == math.MinInt32 && d == -1 {
-			return trap(TrapIntOverflow, fidx)
-		}
-		bin(uint64(uint32(n / d)))
-	case OpI32DivU:
-		d := uint32(stack[top])
-		if d == 0 {
-			return trap(TrapDivByZero, fidx)
-		}
-		bin(uint64(uint32(stack[top-1]) / d))
-	case OpI32RemS:
-		d := int32(stack[top])
-		n := int32(stack[top-1])
-		if d == 0 {
-			return trap(TrapDivByZero, fidx)
-		}
-		if n == math.MinInt32 && d == -1 {
-			bin(0)
-		} else {
-			bin(uint64(uint32(n % d)))
-		}
-	case OpI32RemU:
-		d := uint32(stack[top])
-		if d == 0 {
-			return trap(TrapDivByZero, fidx)
-		}
-		bin(uint64(uint32(stack[top-1]) % d))
-	case OpI32And:
-		bin(uint64(uint32(stack[top-1]) & uint32(stack[top])))
-	case OpI32Or:
-		bin(uint64(uint32(stack[top-1]) | uint32(stack[top])))
-	case OpI32Xor:
-		bin(uint64(uint32(stack[top-1]) ^ uint32(stack[top])))
-	case OpI32Shl:
-		bin(uint64(uint32(stack[top-1]) << (uint32(stack[top]) & 31)))
-	case OpI32ShrS:
-		bin(uint64(uint32(int32(stack[top-1]) >> (uint32(stack[top]) & 31))))
-	case OpI32ShrU:
-		bin(uint64(uint32(stack[top-1]) >> (uint32(stack[top]) & 31)))
-	case OpI32Rotl:
-		bin(uint64(bits.RotateLeft32(uint32(stack[top-1]), int(uint32(stack[top])&31))))
-	case OpI32Rotr:
-		bin(uint64(bits.RotateLeft32(uint32(stack[top-1]), -int(uint32(stack[top])&31))))
-
-	// --- i64 ---
-	case OpI64Eqz:
-		pushBool1(stack[top] == 0)
-	case OpI64Eq:
-		pushBool(stack[top-1] == stack[top])
-	case OpI64Ne:
-		pushBool(stack[top-1] != stack[top])
-	case OpI64LtS:
-		pushBool(int64(stack[top-1]) < int64(stack[top]))
-	case OpI64LtU:
-		pushBool(stack[top-1] < stack[top])
-	case OpI64GtS:
-		pushBool(int64(stack[top-1]) > int64(stack[top]))
-	case OpI64GtU:
-		pushBool(stack[top-1] > stack[top])
-	case OpI64LeS:
-		pushBool(int64(stack[top-1]) <= int64(stack[top]))
-	case OpI64LeU:
-		pushBool(stack[top-1] <= stack[top])
-	case OpI64GeS:
-		pushBool(int64(stack[top-1]) >= int64(stack[top]))
-	case OpI64GeU:
-		pushBool(stack[top-1] >= stack[top])
-	case OpI64Clz:
-		stack[top] = uint64(bits.LeadingZeros64(stack[top]))
-	case OpI64Ctz:
-		stack[top] = uint64(bits.TrailingZeros64(stack[top]))
-	case OpI64Popcnt:
-		stack[top] = uint64(bits.OnesCount64(stack[top]))
-	case OpI64Add:
-		bin(stack[top-1] + stack[top])
-	case OpI64Sub:
-		bin(stack[top-1] - stack[top])
-	case OpI64Mul:
-		bin(stack[top-1] * stack[top])
-	case OpI64DivS:
-		d := int64(stack[top])
-		n := int64(stack[top-1])
-		if d == 0 {
-			return trap(TrapDivByZero, fidx)
-		}
-		if n == math.MinInt64 && d == -1 {
-			return trap(TrapIntOverflow, fidx)
-		}
-		bin(uint64(n / d))
-	case OpI64DivU:
-		if stack[top] == 0 {
-			return trap(TrapDivByZero, fidx)
-		}
-		bin(stack[top-1] / stack[top])
-	case OpI64RemS:
-		d := int64(stack[top])
-		n := int64(stack[top-1])
-		if d == 0 {
-			return trap(TrapDivByZero, fidx)
-		}
-		if n == math.MinInt64 && d == -1 {
-			bin(0)
-		} else {
-			bin(uint64(n % d))
-		}
-	case OpI64RemU:
-		if stack[top] == 0 {
-			return trap(TrapDivByZero, fidx)
-		}
-		bin(stack[top-1] % stack[top])
-	case OpI64And:
-		bin(stack[top-1] & stack[top])
-	case OpI64Or:
-		bin(stack[top-1] | stack[top])
-	case OpI64Xor:
-		bin(stack[top-1] ^ stack[top])
-	case OpI64Shl:
-		bin(stack[top-1] << (stack[top] & 63))
-	case OpI64ShrS:
-		bin(uint64(int64(stack[top-1]) >> (stack[top] & 63)))
-	case OpI64ShrU:
-		bin(stack[top-1] >> (stack[top] & 63))
-	case OpI64Rotl:
-		bin(bits.RotateLeft64(stack[top-1], int(stack[top]&63)))
-	case OpI64Rotr:
-		bin(bits.RotateLeft64(stack[top-1], -int(stack[top]&63)))
-
-	// --- f64 ---
-	case OpF64Eq:
-		pushBool(DecodeF64(stack[top-1]) == DecodeF64(stack[top]))
-	case OpF64Ne:
-		pushBool(DecodeF64(stack[top-1]) != DecodeF64(stack[top]))
-	case OpF64Lt:
-		pushBool(DecodeF64(stack[top-1]) < DecodeF64(stack[top]))
-	case OpF64Gt:
-		pushBool(DecodeF64(stack[top-1]) > DecodeF64(stack[top]))
-	case OpF64Le:
-		pushBool(DecodeF64(stack[top-1]) <= DecodeF64(stack[top]))
-	case OpF64Ge:
-		pushBool(DecodeF64(stack[top-1]) >= DecodeF64(stack[top]))
-	case OpF64Abs:
-		stack[top] = EncodeF64(math.Abs(DecodeF64(stack[top])))
-	case OpF64Neg:
-		stack[top] = stack[top] ^ (1 << 63)
-	case OpF64Ceil:
-		stack[top] = EncodeF64(math.Ceil(DecodeF64(stack[top])))
-	case OpF64Floor:
-		stack[top] = EncodeF64(math.Floor(DecodeF64(stack[top])))
-	case OpF64Trunc:
-		stack[top] = EncodeF64(math.Trunc(DecodeF64(stack[top])))
-	case OpF64Nearest:
-		stack[top] = EncodeF64(math.RoundToEven(DecodeF64(stack[top])))
-	case OpF64Sqrt:
-		stack[top] = EncodeF64(math.Sqrt(DecodeF64(stack[top])))
-	case OpF64Add:
-		bin(EncodeF64(DecodeF64(stack[top-1]) + DecodeF64(stack[top])))
-	case OpF64Sub:
-		bin(EncodeF64(DecodeF64(stack[top-1]) - DecodeF64(stack[top])))
-	case OpF64Mul:
-		bin(EncodeF64(DecodeF64(stack[top-1]) * DecodeF64(stack[top])))
-	case OpF64Div:
-		bin(EncodeF64(DecodeF64(stack[top-1]) / DecodeF64(stack[top])))
-	case OpF64Min:
-		bin(EncodeF64(wasmMin(DecodeF64(stack[top-1]), DecodeF64(stack[top]))))
-	case OpF64Max:
-		bin(EncodeF64(wasmMax(DecodeF64(stack[top-1]), DecodeF64(stack[top]))))
-	case OpF64Copysign:
-		bin(EncodeF64(math.Copysign(DecodeF64(stack[top-1]), DecodeF64(stack[top]))))
-
-	// --- f32 ---
-	case OpF32Eq:
-		pushBool(DecodeF32(stack[top-1]) == DecodeF32(stack[top]))
-	case OpF32Ne:
-		pushBool(DecodeF32(stack[top-1]) != DecodeF32(stack[top]))
-	case OpF32Lt:
-		pushBool(DecodeF32(stack[top-1]) < DecodeF32(stack[top]))
-	case OpF32Gt:
-		pushBool(DecodeF32(stack[top-1]) > DecodeF32(stack[top]))
-	case OpF32Le:
-		pushBool(DecodeF32(stack[top-1]) <= DecodeF32(stack[top]))
-	case OpF32Ge:
-		pushBool(DecodeF32(stack[top-1]) >= DecodeF32(stack[top]))
-	case OpF32Abs:
-		stack[top] = EncodeF32(float32(math.Abs(float64(DecodeF32(stack[top])))))
-	case OpF32Neg:
-		stack[top] = uint64(uint32(stack[top]) ^ (1 << 31))
-	case OpF32Sqrt:
-		stack[top] = EncodeF32(float32(math.Sqrt(float64(DecodeF32(stack[top])))))
-	case OpF32Add:
-		bin(EncodeF32(DecodeF32(stack[top-1]) + DecodeF32(stack[top])))
-	case OpF32Sub:
-		bin(EncodeF32(DecodeF32(stack[top-1]) - DecodeF32(stack[top])))
-	case OpF32Mul:
-		bin(EncodeF32(DecodeF32(stack[top-1]) * DecodeF32(stack[top])))
-	case OpF32Div:
-		bin(EncodeF32(DecodeF32(stack[top-1]) / DecodeF32(stack[top])))
-	case OpF32Min:
-		bin(EncodeF32(float32(wasmMin(float64(DecodeF32(stack[top-1])), float64(DecodeF32(stack[top]))))))
-	case OpF32Max:
-		bin(EncodeF32(float32(wasmMax(float64(DecodeF32(stack[top-1])), float64(DecodeF32(stack[top]))))))
-
-	// --- conversions ---
-	case OpI32WrapI64:
-		stack[top] = uint64(uint32(stack[top]))
-	case OpI64ExtendI32S:
-		stack[top] = uint64(int64(int32(stack[top])))
-	case OpI64ExtendI32U:
-		stack[top] = uint64(uint32(stack[top]))
-	case OpI32TruncF64S:
-		f := DecodeF64(stack[top])
-		if math.IsNaN(f) || f >= 2147483648 || f < -2147483649 {
-			return trap(TrapInvalidConversion, fidx)
-		}
-		stack[top] = uint64(uint32(int32(f)))
-	case OpI32TruncF64U:
-		f := DecodeF64(stack[top])
-		if math.IsNaN(f) || f >= 4294967296 || f <= -1 {
-			return trap(TrapInvalidConversion, fidx)
-		}
-		stack[top] = uint64(uint32(f))
-	case OpI64TruncF64S:
-		f := DecodeF64(stack[top])
-		if math.IsNaN(f) || f >= 9.223372036854776e18 || f < -9.223372036854776e18 {
-			return trap(TrapInvalidConversion, fidx)
-		}
-		stack[top] = uint64(int64(f))
-	case OpI64TruncF64U:
-		f := DecodeF64(stack[top])
-		if math.IsNaN(f) || f >= 1.8446744073709552e19 || f <= -1 {
-			return trap(TrapInvalidConversion, fidx)
-		}
-		stack[top] = uint64(f)
-	case OpI32TruncF32S:
-		f := float64(DecodeF32(stack[top]))
-		if math.IsNaN(f) || f >= 2147483648 || f < -2147483649 {
-			return trap(TrapInvalidConversion, fidx)
-		}
-		stack[top] = uint64(uint32(int32(f)))
-	case OpI32TruncF32U:
-		f := float64(DecodeF32(stack[top]))
-		if math.IsNaN(f) || f >= 4294967296 || f <= -1 {
-			return trap(TrapInvalidConversion, fidx)
-		}
-		stack[top] = uint64(uint32(f))
-	case OpF64ConvertI32S:
-		stack[top] = EncodeF64(float64(int32(stack[top])))
-	case OpF64ConvertI32U:
-		stack[top] = EncodeF64(float64(uint32(stack[top])))
-	case OpF64ConvertI64S:
-		stack[top] = EncodeF64(float64(int64(stack[top])))
-	case OpF64ConvertI64U:
-		stack[top] = EncodeF64(float64(stack[top]))
-	case OpF32ConvertI32S:
-		stack[top] = EncodeF32(float32(int32(stack[top])))
-	case OpF32ConvertI64S:
-		stack[top] = EncodeF32(float32(int64(stack[top])))
-	case OpF64PromoteF32:
-		stack[top] = EncodeF64(float64(DecodeF32(stack[top])))
-	case OpF32DemoteF64:
-		stack[top] = EncodeF32(float32(DecodeF64(stack[top])))
-	case OpI32ReinterpretF32, OpF32ReinterpretI32:
-		stack[top] = uint64(uint32(stack[top]))
-	case OpI64ReinterpretF64, OpF64ReinterpretI64:
-		// Raw encoding is already the reinterpretation.
-
-	default:
-		return fmt.Errorf("wavm: unimplemented opcode %s", in.Op)
-	}
-	return nil
-}
 
 // wasmMin implements the wasm min semantics: NaN-propagating, -0 < +0.
 func wasmMin(a, b float64) float64 {

@@ -52,10 +52,14 @@ type Function struct {
 	// BrTables holds br_table target lists, referenced by Instr.A.
 	BrTables [][]BrTarget
 	// MaxStack is the operand-stack high-water mark computed by the
-	// validator, letting the interpreter pre-allocate exactly.
+	// validator, which sizes the function's frame on the value stack.
 	MaxStack int
 	// Name is the optional debug name from the text format.
 	Name string
+
+	// lowered is the executable form built from Code by Validate and
+	// DecodeObject. It is not serialised and dies with the Module.
+	lowered *lowered
 }
 
 // Module is a decoded, possibly-validated wavm module. After Validate
@@ -158,6 +162,10 @@ func DecodeObject(b []byte) (*Module, error) {
 	}
 	if !m.Validated {
 		return nil, fmt.Errorf("wavm: object file contains unvalidated module")
+	}
+	// gob keeps only exported fields, so the lowered form is rebuilt here.
+	if err := lowerModule(&m); err != nil {
+		return nil, err
 	}
 	return &m, nil
 }

@@ -199,8 +199,8 @@ const (
 )
 
 // Instr is one decoded instruction. Immediates are pre-resolved by the
-// validator (branch targets become absolute PCs), so the interpreter never
-// re-derives control structure.
+// validator (branch targets become absolute PCs), and lowering (lower.go)
+// turns the validated instructions into the form the interpreter runs.
 type Instr struct {
 	Op Op
 	A  int32
@@ -283,6 +283,9 @@ var opByName = func() map[string]Op {
 
 func (o Op) String() string {
 	if s, ok := opNames[o]; ok {
+		return s
+	}
+	if s, ok := loweredNames[o]; ok {
 		return s
 	}
 	return "op?"

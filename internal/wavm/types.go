@@ -1,11 +1,28 @@
 // Package wavm implements the secure intermediate representation that
 // Faaslets execute: a from-scratch virtual machine with the WebAssembly
-// execution model. Functions are compiled (from the wat-like text format or
-// the fcc toolchain) into modules, validated exactly once in the trusted
-// code-generation phase (Fig 3 of the paper), linked against host-interface
-// thunks, and interpreted with full software-fault isolation: every memory
-// access is bounds-checked against the instance's linear memory and every
-// violation raises a Trap.
+// execution model. A module goes through three stages:
+//
+//   - validate: modules are compiled (from the wat-like text format or the
+//     fcc toolchain) and validated exactly once, in the trusted
+//     code-generation phase (Fig 3 of the paper). Validate type-checks
+//     every function and resolves structured control flow to absolute
+//     branch targets; Function.Code keeps this validated source form, which
+//     EncodeObject serialises.
+//   - lower: Validate (and DecodeObject) then lower each function into the
+//     form the interpreter runs. Structure ops that do nothing at run time
+//     are dropped, hot adjacent instruction pairs are fused into single
+//     lowered-only opcodes, and each basic block's instruction count is
+//     precomputed. Lowered code hangs off its Module; Instantiate does no
+//     lowering work.
+//   - interpret: an Instance links the module against host-interface thunks
+//     and runs the lowered code in one dispatch loop with an indexed operand
+//     stack, carving call frames from one per-instance value stack. Steps
+//     and fuel are charged once per basic block, on entry; for a call that
+//     completes, Steps equals the source instructions executed.
+//
+// Execution keeps full software-fault isolation: every memory access is
+// bounds-checked against the instance's linear memory and every violation
+// raises a Trap.
 //
 // The paper uses WAVM (an LLVM-based WebAssembly JIT); Go cannot JIT from
 // the standard library, so wavm interprets. The isolation semantics —

@@ -13,9 +13,10 @@ import (
 // binaries arriving from untrusted user toolchains must pass here before
 // they can ever execute.
 //
-// On success the module is marked Validated and its branch instructions
-// carry (target PC, arity, stack height) immediates; the interpreter never
-// re-derives control structure.
+// On success the module is marked Validated, its branch instructions
+// carry (target PC, arity, stack height) immediates, and every function is
+// lowered into the form the interpreter runs (see lower.go). Code that
+// names a lowered-only opcode is rejected.
 func Validate(m *Module) error {
 	if m.Validated {
 		return nil
@@ -63,6 +64,12 @@ func Validate(m *Module) error {
 		if err := validateFunc(m, fi); err != nil {
 			return fmt.Errorf("wavm: func %d (%s): %w", fi+len(m.Imports), m.Funcs[fi].Name, err)
 		}
+		// Validated code lives as long as its Module, beside its lowered
+		// form: drop the spare capacity the assembler's appends left.
+		m.Funcs[fi].Code = append([]Instr(nil), m.Funcs[fi].Code...)
+	}
+	if err := lowerModule(m); err != nil {
+		return err
 	}
 	m.Validated = true
 	return nil
@@ -248,6 +255,9 @@ func (v *validator) checkFrameResults(f *ctrlFrame) error {
 
 func (v *validator) step(pc int) error {
 	in := &v.fn.Code[pc]
+	if in.Op >= firstLoweredOp {
+		return fmt.Errorf("opcode %d exists only in lowered code", in.Op)
+	}
 	switch in.Op {
 	case OpNop:
 		return nil

@@ -5,7 +5,9 @@
 # (supervision + load reconciliation). These are the packages whose
 # failure modes only show up under rare interleavings — a coverage
 # regression there means a lifecycle path went untested, which is exactly
-# how drain/stop bugs ship. Floors sit ~5 points under today's numbers:
+# how drain/stop bugs ship. The guest interpreter (wavm) is held too: its
+# one dispatch switch carries every opcode, and an opcode no test runs is
+# an isolation bug waiting to ship. Floors sit ~5 points under today's numbers:
 # tight enough to catch an untested new subsystem, loose enough that an
 # unrelated refactor doesn't trip them.
 set -eu
@@ -40,5 +42,6 @@ check internal/sched 80
 check internal/frt 80
 check internal/autoscale 85
 check internal/queue 80
+check internal/wavm 80
 
 [ "$fail" -eq 0 ] || exit 1
