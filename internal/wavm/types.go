@@ -10,7 +10,7 @@
 //     EncodeObject serialises.
 //   - lower: Validate (and DecodeObject) then lower each function into the
 //     form the interpreter runs. Structure ops that do nothing at run time
-//     are dropped, hot adjacent instruction pairs are fused into single
+//     are dropped, hot runs of adjacent instructions are fused into single
 //     lowered-only opcodes, and each basic block's instruction count is
 //     precomputed. Lowered code hangs off its Module; Instantiate does no
 //     lowering work.
