@@ -112,7 +112,10 @@ type Config struct {
 	// QueueRetryBackoff is the base redelivery backoff, doubling per
 	// attempt (0 = queue.DefaultRetryBackoff).
 	QueueRetryBackoff time.Duration
-	// QueuePoll is the consumer scan cadence (0 = queue.DefaultPoll).
+	// QueuePoll is the consumers' fallback cadence (0 = queue.DefaultPoll).
+	// Submits on this host wake its consumers at once; polling only finds
+	// work submitted elsewhere and items redelivered after a lapsed lease
+	// or backoff.
 	QueuePoll time.Duration
 	// QueueConcurrency bounds concurrent queued executions per function on
 	// this host (0 = queue.DefaultConcurrency).

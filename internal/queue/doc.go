@@ -9,10 +9,11 @@
 //
 // Delivery is at-least-once with an exactly-once client view: a claimed
 // item is fenced by a tier-side SetEx'd lease, so a consumer that dies
-// mid-execution simply stops renewing it and the item becomes claimable
-// again after lease expiry, judged on the tier's clock. Failed executions
-// retry after a bounded exponential backoff (the lease doubles as the
-// backoff timer) until RetryMax redeliveries, after which the item lands in
+// mid-execution simply stops renewing it and, once the lease expires on
+// the tier's clock, the next sweep puts the item back for another
+// delivery. Failed executions retry after a bounded exponential backoff
+// (the lease doubles as the backoff timer) until RetryMax redeliveries,
+// after which the item lands in
 // the function's dead-letter set with a CallDeadLettered result. Result
 // writes are first-writer-wins: a redelivered execution that finds a result
 // already recorded acks without writing, so the client never observes a
@@ -27,12 +28,44 @@
 // # Concurrency model
 //
 //   - All shared queue state lives in the tier; the Queue struct itself
-//     holds only atomic metric counters and the consumer-goroutine
-//     registry (one mutex, touched at consumer start/stop only).
-//   - Claims are serialized per function through the tier's lease lock
-//     (kvs.Store.Lock on q/claim/<fn>), so two consumers cannot claim the
-//     same item in the same round; the in-flight lease then fences the
-//     claim across lock expiry.
-//   - Consumer loops are plain goroutines sleeping on the runtime clock;
-//     Close stops claims immediately and waits the loops out.
+//     holds atomic metric counters, the consumer-goroutine registry and,
+//     per function, a doorbell channel and the sweep's bookkeeping.
+//   - Each function has a ready log, q/log/<fn>: Submit appends the item's
+//     8-byte slot and then adds a permit to the q/ready/<fn> counter. A
+//     claim takes a permit (INCR -1; handed back if none was left), then a
+//     ticket from the q/head/<fn> cursor (INCR +1) naming the slot it
+//     reads with one GETRANGE. Permits never outnumber written slots, so
+//     every ticket names a written slot, and each slot is ticketed once.
+//     A claim then SETEXes the item's lease, reads the item and counts the
+//     attempt: six tier ops whatever the depth, and no consumer waits on
+//     another.
+//   - Redelivery is a sweep, off the claim path. At most once per poll
+//     interval per function, this handle runs it when a claim finds
+//     nothing ready or after a consumer finishes an item. It holds the
+//     q/claim/<fn> tier lock, so across hosts each item is put back once.
+//     The sweep reads the window of ticketed slots not yet retired
+//     (q/low/<fn> up to the head) and re-appends, with a permit, every
+//     item that is neither acked nor leased: a lapsed lease, a finished
+//     backoff, or a claim that died between its ticket and its lease
+//     (judged after one lease TTL). It then zeroes retired slots and moves
+//     q/low/<fn> past the leading run, so its cost follows the items in
+//     flight, not the depth. A slot's generation (the attempt count when it
+//     was appended) tells a lapsed claim from one not yet leased.
+//   - Ack deletes the item before its lease, so a sweep that finds the
+//     lease gone and the item present never mistakes an acked item for a
+//     lapsed claim. The q/pending/<fn> set is only the ack guard: SRem's
+//     removed flag releases the depth counter exactly once.
+//   - Once per lease TTL the sweep also restores permits lost between an
+//     append and its permit (a process killed between the two ops): slots
+//     appended a lease TTL ago that are still unticketed while no permit
+//     is left get one. A permit restored too many makes one ticket overrun
+//     the log; that claim absorbs the excess and the sweep redelivers the
+//     item that later lands in the skipped slot.
+//   - Consumer loops claim until nothing is claimable, then wait on the
+//     function's doorbell or a Poll timer on the runtime clock, whichever
+//     fires first. Every Submit through this handle, including the chain
+//     submit of a completed item, rings the doorbell, so local work starts
+//     at once; the poll only picks up submits from other hosts and items
+//     the sweep puts back. Close stops claims immediately and waits the
+//     loops out.
 package queue

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -75,7 +76,11 @@ type Config struct {
 	// RetryBackoff is the base redelivery backoff after a failed
 	// execution, doubling per attempt (0 = DefaultRetryBackoff).
 	RetryBackoff time.Duration
-	// Poll is the consumer scan (and Await poll) cadence (0 = DefaultPoll).
+	// Poll is the consumers' fallback cadence (0 = DefaultPoll). A submit
+	// through this handle wakes its consumers at once, so polling only
+	// finds work submitted on other hosts and items the sweep puts back
+	// (lapsed leases, finished backoffs); Poll also bounds how often this
+	// handle sweeps each function, and paces Await.
 	Poll time.Duration
 	// Concurrency is the consumer loops per function on this host — the
 	// bound on this host's concurrent executions per function
@@ -100,7 +105,7 @@ type Queue struct {
 
 	mu        sync.Mutex
 	consumers map[string]struct{}
-	fns       map[string]struct{}
+	fns       map[string]*fnState
 	closed    bool
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -125,18 +130,57 @@ func New(cfg Config, exec Executor) *Queue {
 		cfg:       cfg,
 		exec:      exec,
 		consumers: map[string]struct{}{},
-		fns:       map[string]struct{}{},
+		fns:       map[string]*fnState{},
 		stop:      make(chan struct{}),
 	}
 }
 
+// fnState is this handle's local state for one function: the doorbell
+// its consumers wait on and the sweep's bookkeeping.
+type fnState struct {
+	// wake holds up to Concurrency tokens; each local submit adds one, so
+	// a burst wakes every consumer and a lone submit wakes one.
+	wake chan struct{}
+
+	// mu guards the fields below. A sweep holds it throughout and claims
+	// TryLock it, so one local sweep runs at a time and never blocks a claim.
+	mu      sync.Mutex
+	sweptAt time.Time
+	// At markAt the head cursor stood at markHead and the log held markLen
+	// slots. Each lease TTL the mark moves on and stale takes markHead:
+	// every slot below stale was ticketed at least one lease TTL ago.
+	markAt   time.Time
+	markHead int64
+	markLen  int64
+	stale    int64
+}
+
+func (q *Queue) stateLocked(fn string) *fnState {
+	fs := q.fns[fn]
+	if fs == nil {
+		fs = &fnState{wake: make(chan struct{}, q.concurrency())}
+		q.fns[fn] = fs
+	}
+	return fs
+}
+
+func (q *Queue) state(fn string) *fnState {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.stateLocked(fn)
+}
+
 // Tier key layout. Everything is keyed by the global call id except the
-// per-function pending set, depth counter, dead-letter set, chain record,
-// and claim lock.
+// per-function keys: the ready log and its cursors, pending set, depth
+// counter, dead-letter set, chain record and sweep lock.
 func itemKey(id uint64) string    { return "q/item/" + strconv.FormatUint(id, 10) }
 func leaseKey(id uint64) string   { return "q/lease/" + strconv.FormatUint(id, 10) }
 func attemptKey(id uint64) string { return "q/attempt/" + strconv.FormatUint(id, 10) }
 func resultKey(id uint64) string  { return "q/result/" + strconv.FormatUint(id, 10) }
+func logKey(fn string) string     { return "q/log/" + fn }
+func readyKey(fn string) string   { return "q/ready/" + fn }
+func headKey(fn string) string    { return "q/head/" + fn }
+func lowKey(fn string) string     { return "q/low/" + fn }
 func pendingKey(fn string) string { return "q/pending/" + fn }
 func depthKey(fn string) string   { return "q/depth/" + fn }
 func deadKey(fn string) string    { return "q/dead/" + fn }
@@ -144,6 +188,24 @@ func chainKey(fn string) string   { return "q/chain/" + fn }
 func claimKey(fn string) string   { return "q/claim/" + fn }
 
 const idKey = "q/id"
+
+// A ready-log slot is 8 little-endian bytes: the call id in the low 48
+// bits and, above them, the item's attempt count when the slot was
+// appended (its generation). A zero slot has been retired by the sweep.
+const (
+	slotSize = 8
+	idBits   = 48
+	idMask   = 1<<idBits - 1
+)
+
+func packSlot(id uint64, gen int64) []byte {
+	return binary.LittleEndian.AppendUint64(nil, uint64(gen)<<idBits|id&idMask)
+}
+
+func unpackSlot(b []byte) (uint64, int64) {
+	v := binary.LittleEndian.Uint64(b)
+	return v & idMask, int64(v >> idBits)
+}
 
 // item is the tier-side queue record: the call plus its enqueue time on the
 // submitter's clock (feeds the queue.wait span).
@@ -230,7 +292,7 @@ func (q *Queue) submit(fn string, input []byte, parent, trace uint64) (uint64, e
 		q.mu.Unlock()
 		return 0, ErrClosed
 	}
-	q.fns[fn] = struct{}{}
+	fs := q.stateLocked(fn)
 	q.mu.Unlock()
 
 	st := q.cfg.Store
@@ -268,8 +330,9 @@ func (q *Queue) submit(fn string, input []byte, parent, trace uint64) (uint64, e
 		st.Incr(depthKey(fn), -1)
 		return 0, err
 	}
-	// Item record first, pending-set entry second: a consumer that sees the
-	// id in the set can always read the item.
+	// Item record first, then the pending entry that guards its depth
+	// release, then the log slot: a consumer that reaches the slot can
+	// always read the item.
 	if err := st.Set(itemKey(id), blob); err != nil {
 		st.Incr(depthKey(fn), -1)
 		return 0, err
@@ -279,8 +342,25 @@ func (q *Queue) submit(fn string, input []byte, parent, trace uint64) (uint64, e
 		st.Incr(depthKey(fn), -1)
 		return 0, err
 	}
+	if _, err := st.Append(logKey(fn), packSlot(id, 0)); err != nil {
+		q.ack(fn, id)
+		return 0, err
+	}
+	// Once appended the item is accepted: a failed permit is made good by
+	// the sweep's checkpoint, which finds the slot unticketed.
+	q.publish(fn, fs)
 	q.enqueued.Add(1)
 	return id, nil
+}
+
+// publish adds one claim permit for a slot already appended to fn's log
+// and rings this handle's doorbell for fn.
+func (q *Queue) publish(fn string, fs *fnState) {
+	q.cfg.Store.Incr(readyKey(fn), 1)
+	select {
+	case fs.wake <- struct{}{}:
+	default:
+	}
 }
 
 // Then records a static chain: every successful completion of fn enqueues
@@ -304,14 +384,17 @@ func (q *Queue) EnsureConsumer(fn string) {
 		return
 	}
 	q.consumers[fn] = struct{}{}
-	q.fns[fn] = struct{}{}
+	fs := q.stateLocked(fn)
 	for i := 0; i < q.concurrency(); i++ {
 		q.wg.Add(1)
-		go q.consumeLoop(fn)
+		go q.consumeLoop(fn, fs)
 	}
 }
 
-func (q *Queue) consumeLoop(fn string) {
+// consumeLoop claims and runs fn's items until none is claimable, then
+// waits for a local submit's wake-up or the poll fallback, whichever comes
+// first.
+func (q *Queue) consumeLoop(fn string, fs *fnState) {
 	defer q.wg.Done()
 	for {
 		select {
@@ -319,80 +402,290 @@ func (q *Queue) consumeLoop(fn string) {
 			return
 		default:
 		}
-		if !q.gateOpen() {
-			q.cfg.Clock.Sleep(q.poll())
-			continue
+		if q.gateOpen() {
+			if it, att, ok := q.claim(fn); ok {
+				q.runItem(fn, it, att)
+				// A consumer that never runs dry still sweeps once per
+				// poll, after its item rather than before it.
+				q.sweep(fn, fs)
+				continue
+			}
 		}
-		it, att, ok := q.claim(fn)
-		if !ok {
-			q.cfg.Clock.Sleep(q.poll())
-			continue
+		t := q.cfg.Clock.After(q.poll())
+		select {
+		case <-q.stop:
+			t.Stop()
+			return
+		case <-fs.wake:
+			t.Stop()
+		case <-t.C:
 		}
-		q.runItem(fn, it, att)
 	}
 }
 
-// claim picks one deliverable item from fn's pending set and fences it with
-// an in-flight lease. Claims for one function are serialized through the
-// tier's lease lock, so a (pending, lease-free) item has exactly one
-// claimant per round; the returned attempt count is this delivery's ordinal.
+// claim takes fn's next ready item and fences it with an in-flight lease,
+// returning this delivery's attempt ordinal. A claim costs the same tier
+// ops at any depth: a permit, a ticket, one log slot, the lease, the item
+// and its attempt count. When nothing is ready, a due sweep runs and the
+// claim tries again if it put anything back.
 func (q *Queue) claim(fn string) (item, int, bool) {
 	st := q.cfg.Store
-	tok, err := st.Lock(claimKey(fn), true, q.leaseTTL())
-	if err != nil {
-		return item{}, 0, false
-	}
-	defer st.Unlock(claimKey(fn), tok)
-
-	members, err := st.SMembers(pendingKey(fn))
-	if err != nil || len(members) == 0 {
-		return item{}, 0, false
-	}
-	ids := make([]uint64, 0, len(members))
-	for _, m := range members {
-		if id, err := strconv.ParseUint(m, 10, 64); err == nil {
-			ids = append(ids, id)
+	swept := false
+	for {
+		id, ok := q.take(fn)
+		if !ok {
+			if swept || !q.sweep(fn, q.state(fn)) {
+				return item{}, 0, false
+			}
+			swept = true
+			continue
 		}
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	for _, id := range ids {
-		ttl, err := st.TTL(leaseKey(id))
-		if err != nil || ttl > 0 || ttl == kvs.TTLPersistent {
-			continue // leased in-flight, parked in backoff, or unreadable
+		// Lease before anything else: from here the sweep sees the slot in
+		// flight, never a lapsed claim.
+		if err := st.SetEx(leaseKey(id), []byte(q.cfg.Host), q.leaseTTL()); err != nil {
+			return item{}, 0, false // the sweep redelivers the ticketed slot
 		}
 		blob, err := st.Get(itemKey(id))
 		if err != nil {
-			continue
+			return item{}, 0, false
 		}
 		var it item
 		if blob == nil || json.Unmarshal(blob, &it) != nil {
-			// Orphaned pending entry (item record gone or unreadable):
-			// collect it so it cannot wedge the scan forever.
-			if removed, err := st.SRem(pendingKey(fn), strconv.FormatUint(id, 10)); err == nil && removed {
-				st.Incr(depthKey(fn), -1)
-			}
+			// Acked since this slot was written (a duplicate slot left by
+			// a sweep that died before retiring the original).
+			st.Delete(leaseKey(id))
 			continue
 		}
 		att64, err := st.Incr(attemptKey(id), 1)
 		if err != nil {
-			continue
+			return item{}, 0, false
 		}
 		att := int(att64)
-		if att > 1 {
-			q.redelivered.Add(1)
-		}
 		if att > q.retryMax()+1 {
 			// Deliveries exhausted — including ones burned by crashed
 			// consumers that never reported back (poison-pill protection).
 			q.deadLetter(fn, it, fmt.Errorf("queue: %d deliveries exhausted", att-1))
 			continue
 		}
-		if err := st.SetEx(leaseKey(id), []byte(q.cfg.Host), q.leaseTTL()); err != nil {
-			continue
-		}
 		return it, att, true
 	}
-	return item{}, 0, false
+}
+
+// take claims the next ready slot of fn's log: a permit from the ready
+// counter, then a ticket from the head cursor naming the slot. Permits
+// never outnumber appended slots, so the ticketed slot is always written.
+func (q *Queue) take(fn string) (uint64, bool) {
+	st := q.cfg.Store
+	for {
+		n, err := st.Incr(readyKey(fn), -1)
+		if err != nil {
+			return 0, false
+		}
+		if n >= 0 {
+			break
+		}
+		// No permit: hand it back. A submit that raced in between leaves
+		// the count positive, and its slot is ours to take.
+		if r, err := st.Incr(readyKey(fn), 1); err != nil || r <= 0 {
+			return 0, false
+		}
+	}
+	t, err := st.Incr(headKey(fn), 1)
+	if err != nil {
+		st.Incr(readyKey(fn), 1)
+		return 0, false
+	}
+	b, err := st.GetRange(logKey(fn), int(t-1)*slotSize, slotSize)
+	if err != nil {
+		return 0, false // the sweep redelivers the ticketed slot
+	}
+	if len(b) != slotSize {
+		// A permit too many (a checkpoint restored one that was only in
+		// transit) ticketed a slot not yet appended. Absorb the excess so
+		// later tickets line up with their slots again; the sweep
+		// redelivers the item that lands in the skipped slot.
+		st.Incr(readyKey(fn), -1)
+		return 0, false
+	}
+	id, _ := unpackSlot(b)
+	return id, id != 0
+}
+
+// sweep redelivers fn's ticketed items that are neither acked nor leased:
+// a lapsed lease (its consumer died), a finished backoff, or a slot whose
+// consumer died between its ticket and its lease. It runs at most once per
+// poll interval on this handle, judges only the window of ticketed slots
+// not yet retired, and is serialized across hosts by the q/claim/<fn> tier
+// lock, so each item is put back once. Its cost grows with the items in
+// flight, not with the depth of the queue. It reports whether it put back
+// an item or a lost permit.
+func (q *Queue) sweep(fn string, fs *fnState) (requeued bool) {
+	if !fs.mu.TryLock() {
+		return false
+	}
+	defer fs.mu.Unlock()
+	now := q.cfg.Clock.Now()
+	if !fs.sweptAt.IsZero() && now.Sub(fs.sweptAt) < q.poll() {
+		return requeued
+	}
+	fs.sweptAt = now
+	st := q.cfg.Store
+	lo, err := st.Incr(lowKey(fn), 0)
+	if err != nil {
+		return requeued
+	}
+	hi, err := st.Incr(headKey(fn), 0)
+	if err != nil {
+		return requeued
+	}
+	requeued = q.checkpoint(fn, fs, now, hi)
+	if hi <= lo {
+		return requeued
+	}
+	tok, err := st.Lock(claimKey(fn), true, q.leaseTTL())
+	if err != nil {
+		return requeued
+	}
+	defer st.Unlock(claimKey(fn), tok)
+	// Only sweeps move the low cursor; another host's may have.
+	if lo, err = st.Incr(lowKey(fn), 0); err != nil || hi <= lo {
+		return requeued
+	}
+	win, err := st.GetRange(logKey(fn), int(lo)*slotSize, int(hi-lo)*slotSize)
+	if err != nil {
+		return requeued
+	}
+	n := len(win) / slotSize
+	slot := func(i int) []byte { return win[i*slotSize : (i+1)*slotSize] }
+
+	var idx, free []int
+	var keys, itemKeys []string
+	for i := 0; i < n; i++ {
+		if id, _ := unpackSlot(slot(i)); id != 0 {
+			idx = append(idx, i)
+			keys = append(keys, leaseKey(id))
+		}
+	}
+	if len(idx) == 0 {
+		st.Incr(lowKey(fn), int64(n))
+		return requeued
+	}
+	leases, err := kvs.MGet(st, keys)
+	if err != nil {
+		return requeued
+	}
+	// Lease-free slots are acked or due. Items are read after leases, and
+	// ack deletes the item before the lease, so a lease-free slot whose
+	// item is present was not acked.
+	for j, i := range idx {
+		if leases[j] == nil {
+			free = append(free, i)
+			id, _ := unpackSlot(slot(i))
+			itemKeys = append(itemKeys, itemKey(id))
+		}
+	}
+	items, err := kvs.MGet(st, itemKeys)
+	if err != nil {
+		return requeued
+	}
+	retired := false
+	for j, i := range free {
+		id, gen := unpackSlot(slot(i))
+		if items[j] != nil {
+			att, ok := q.dueAttempt(id, gen, lo+int64(i) < fs.stale)
+			if !ok {
+				continue
+			}
+			if _, err := st.Append(logKey(fn), packSlot(id, att)); err != nil {
+				continue
+			}
+			q.publish(fn, fs)
+			q.redelivered.Add(1)
+			requeued = true
+		}
+		clear(slot(i))
+		retired = true
+	}
+	if !retired {
+		return requeued
+	}
+	// Retire: zero the judged slots and move the low cursor past the
+	// leading run of retired ones. Claimers never write below the head and
+	// submits only append beyond it, so rewriting the window is safe.
+	first := 0
+	for first < n {
+		if id, _ := unpackSlot(slot(first)); id != 0 {
+			break
+		}
+		first++
+	}
+	if first < n {
+		st.SetRange(logKey(fn), int(lo)*slotSize+first*slotSize, win[first*slotSize:])
+	}
+	if first > 0 {
+		st.Incr(lowKey(fn), int64(first))
+	}
+	return requeued
+}
+
+// dueAttempt decides whether a lease-free, unacked item is due for
+// redelivery, returning its attempt count. An attempt count above the
+// slot's generation means a consumer leased and started it since the slot
+// was written, so its lease or backoff lapsed. An equal count means no
+// consumer got that far: a claimer between its ticket and its lease is
+// given one lease TTL (stale), after which it is presumed dead.
+//
+// A claimer leases before it counts its attempt, so the lease is read
+// again after the count: a claim that landed since the sweep's first
+// lease read shows up there. The item is read last, as ack deletes it
+// before the lease.
+func (q *Queue) dueAttempt(id uint64, gen int64, stale bool) (int64, bool) {
+	st := q.cfg.Store
+	att, err := st.Incr(attemptKey(id), 0)
+	if err != nil || (att <= gen && !stale) {
+		return 0, false
+	}
+	if lease, err := st.Get(leaseKey(id)); err != nil || lease != nil {
+		return 0, false
+	}
+	blob, err := st.Get(itemKey(id))
+	if err != nil {
+		return 0, false
+	}
+	if blob == nil {
+		// Acked meanwhile: the read above may have recreated its attempt
+		// counter, so drop it again as ack does.
+		st.Delete(attemptKey(id))
+		return 0, false
+	}
+	return att, true
+}
+
+// checkpoint moves fn's mark once per lease TTL. It advances the stale
+// bound and restores permits lost between a log append and its permit (a
+// submitter or claimer that died between the two, or a failed permit
+// write): log slots appended before the previous mark that are still
+// unticketed while no permit is left. It reports whether it restored any.
+func (q *Queue) checkpoint(fn string, fs *fnState, now time.Time, hi int64) (restored bool) {
+	if !fs.markAt.IsZero() && now.Sub(fs.markAt) < q.leaseTTL() {
+		return false
+	}
+	st := q.cfg.Store
+	n, err := st.Len(logKey(fn))
+	if err != nil {
+		return false
+	}
+	if !fs.markAt.IsZero() {
+		fs.stale = fs.markHead
+		if hi < fs.markLen {
+			if r, err := st.Incr(readyKey(fn), 0); err == nil && r <= 0 {
+				_, err = st.Incr(readyKey(fn), fs.markLen-hi)
+				restored = err == nil
+			}
+		}
+	}
+	fs.markAt, fs.markHead, fs.markLen = now, hi, int64(n/slotSize)
+	return restored
 }
 
 // runItem executes one claimed delivery end to end.
@@ -401,10 +694,13 @@ func (q *Queue) runItem(fn string, it item, att int) {
 	id := it.Rec.ID
 
 	// A prior delivery may have completed but crashed before acking; never
-	// re-execute a call that already has a result.
-	if blob, err := st.Get(resultKey(id)); err == nil && blob != nil {
-		q.ack(fn, id)
-		return
+	// re-execute a call that already has a result. A first attempt has no
+	// prior delivery: executions start only after the attempt count.
+	if att > 1 {
+		if blob, err := st.Get(resultKey(id)); err == nil && blob != nil {
+			q.ack(fn, id)
+			return
+		}
 	}
 
 	q.recordWait(fn, it)
@@ -503,15 +799,18 @@ func (q *Queue) deadLetter(fn string, it item, cause error) {
 }
 
 // ack retires a delivered item: out of the pending set (decrementing the
-// backpressure depth exactly once, guarded by SRem's removed flag), lease
-// and bookkeeping keys dropped. The result record stays for awaiters.
+// backpressure depth exactly once, guarded by SRem's removed flag), then
+// the item, lease and attempt keys dropped. The item goes before the lease,
+// so a sweep that finds the lease gone finds the item gone too and never
+// mistakes an acked item for a lapsed claim. The result record stays for
+// awaiters; the sweep retires the item's log slot.
 func (q *Queue) ack(fn string, id uint64) {
 	st := q.cfg.Store
 	if removed, err := st.SRem(pendingKey(fn), strconv.FormatUint(id, 10)); err == nil && removed {
 		st.Incr(depthKey(fn), -1)
 	}
-	st.Delete(leaseKey(id))
 	st.Delete(itemKey(id))
+	st.Delete(leaseKey(id))
 	st.Delete(attemptKey(id))
 }
 
@@ -601,7 +900,8 @@ func (q *Queue) Functions() []string {
 	return out
 }
 
-// Stats snapshots this handle's activity counters.
+// Stats snapshots this handle's activity counters. Redelivered counts the
+// items this handle's sweep put back for another delivery.
 type Stats struct {
 	Enqueued     int64
 	Redelivered  int64
@@ -625,7 +925,7 @@ func (q *Queue) Stats() Stats {
 func (q *Queue) Instrument(reg *obsv.Registry, host string) {
 	l := map[string]string{"host": host}
 	reg.CounterFunc("faasm_queue_enqueued_total", "async calls accepted into the durable queue by this host", l, q.enqueued.Load)
-	reg.CounterFunc("faasm_queue_redelivered_total", "deliveries after the first, claimed by this host (lease-expiry reclaims and retry backoffs)", l, q.redelivered.Load)
+	reg.CounterFunc("faasm_queue_redelivered_total", "items this host's sweep put back for redelivery (lapsed leases, finished retry backoffs, claims that died before leasing)", l, q.redelivered.Load)
 	reg.CounterFunc("faasm_queue_dead_lettered_total", "items parked in a dead-letter set by this host after exhausting deliveries", l, q.deadLettered.Load)
 	reg.GaugeFunc("faasm_queue_depth", "queued plus in-flight items across this host's known functions (tier-side view)", l, q.tierDepth)
 }

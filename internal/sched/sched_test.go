@@ -7,6 +7,7 @@ import (
 
 	"faasm.dev/faasm/internal/kvs"
 	"faasm.dev/faasm/internal/kvs/kvstest"
+	"faasm.dev/faasm/internal/vtime"
 )
 
 func TestColdStartAdvertisesWarm(t *testing.T) {
@@ -372,6 +373,9 @@ type offsetClock struct{ d time.Duration }
 
 func (c offsetClock) Now() time.Time        { return time.Now().Add(c.d) }
 func (c offsetClock) Sleep(d time.Duration) { time.Sleep(d) }
+func (c offsetClock) After(d time.Duration) *vtime.Timer {
+	return vtime.Real{}.After(d)
+}
 
 // TestClockSkewDoesNotAffectLiveness is the tier-clock regression test:
 // hosts whose clocks disagree by 10× the lease TTL must neither falsely

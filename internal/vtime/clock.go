@@ -18,6 +18,27 @@ type Clock interface {
 	Now() time.Time
 	// Sleep blocks the caller for d of this clock's time.
 	Sleep(d time.Duration)
+	// After arms a cancellable timer that fires once d of this clock's
+	// time has passed (at once for d <= 0).
+	After(d time.Duration) *Timer
+}
+
+// Timer is a one-shot wait on a Clock. C receives the firing time once.
+// Stop abandons the wait: a select that stops waiting on C (a wake-up won
+// the race) calls Stop and leaves neither a goroutine nor, on a Virtual
+// clock, a pending waiter behind.
+type Timer struct {
+	C    <-chan time.Time
+	stop func() bool
+}
+
+// Stop cancels the timer, reporting whether it did so before it fired.
+func (t *Timer) Stop() bool { return t.stop() }
+
+// wallTimer wraps a runtime timer, which owns no goroutine.
+func wallTimer(d time.Duration) *Timer {
+	t := time.NewTimer(d)
+	return &Timer{C: t.C, stop: t.Stop}
 }
 
 // Real is a Clock backed by the wall clock.
@@ -28,6 +49,9 @@ func (Real) Now() time.Time { return time.Now() }
 
 // Sleep blocks for wall-clock duration d.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
+
+// After arms a wall-clock timer for d.
+func (Real) After(d time.Duration) *Timer { return wallTimer(d) }
 
 // Virtual is a deterministic discrete-event clock. Goroutines that sleep on a
 // Virtual clock are suspended until the simulation driver advances time past
@@ -45,10 +69,13 @@ func NewVirtual() *Virtual {
 	return &Virtual{now: time.Unix(0, 0).Add(time.Hour)}
 }
 
+// waiter is one Sleep or After on a Virtual clock. index is its position
+// in the heap (-1 once fired or stopped), so Stop can remove it.
 type waiter struct {
 	deadline time.Time
 	seq      int64
-	ch       chan struct{}
+	index    int
+	ch       chan time.Time
 }
 
 type waiterHeap []*waiter
@@ -60,13 +87,21 @@ func (h waiterHeap) Less(i, j int) bool {
 	}
 	return h[i].deadline.Before(h[j].deadline)
 }
-func (h waiterHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *waiterHeap) Push(x interface{}) { *h = append(*h, x.(*waiter)) }
+func (h waiterHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+func (h *waiterHeap) Push(x interface{}) {
+	w := x.(*waiter)
+	w.index = len(*h)
+	*h = append(*h, w)
+}
 func (h *waiterHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
 	w := old[n-1]
 	old[n-1] = nil
+	w.index = -1
 	*h = old[:n-1]
 	return w
 }
@@ -84,12 +119,38 @@ func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
+	<-v.arm(d).ch
+}
+
+// After arms a timer that fires when the clock advances past now+d. Until
+// it fires or is stopped it counts in Pending and is one of the deadlines
+// RunUntilIdle advances to, exactly like a Sleep; Stop removes it from
+// both.
+func (v *Virtual) After(d time.Duration) *Timer {
+	if d <= 0 {
+		ch := make(chan time.Time, 1)
+		ch <- v.Now()
+		return &Timer{C: ch, stop: func() bool { return false }}
+	}
+	w := v.arm(d)
+	return &Timer{C: w.ch, stop: func() bool {
+		v.mu.Lock()
+		defer v.mu.Unlock()
+		if w.index < 0 {
+			return false
+		}
+		heap.Remove(&v.waiters, w.index)
+		return true
+	}}
+}
+
+func (v *Virtual) arm(d time.Duration) *waiter {
 	v.mu.Lock()
-	w := &waiter{deadline: v.now.Add(d), seq: v.seq, ch: make(chan struct{})}
+	defer v.mu.Unlock()
+	w := &waiter{deadline: v.now.Add(d), seq: v.seq, ch: make(chan time.Time, 1)}
 	v.seq++
 	heap.Push(&v.waiters, w)
-	v.mu.Unlock()
-	<-w.ch
+	return w
 }
 
 // Advance moves virtual time forward by d, waking every sleeper whose
@@ -118,7 +179,7 @@ func (v *Virtual) advanceToLocked(target time.Time) {
 		if next.deadline.After(v.now) {
 			v.now = next.deadline
 		}
-		close(next.ch)
+		next.ch <- next.deadline
 	}
 	if target.After(v.now) {
 		v.now = target
@@ -135,7 +196,8 @@ func (v *Virtual) NextDeadline() (time.Time, bool) {
 	return v.waiters[0].deadline, true
 }
 
-// Pending reports the number of goroutines blocked in Sleep.
+// Pending reports the number of goroutines blocked in Sleep plus the armed
+// After timers not yet fired or stopped.
 func (v *Virtual) Pending() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -143,7 +205,9 @@ func (v *Virtual) Pending() int {
 }
 
 // RunUntilIdle repeatedly advances to the next sleeper deadline until no
-// sleepers remain. The settle callback, if non-nil, is invoked after each
+// sleepers remain. Armed timers count as sleepers, so a loop that re-arms a
+// timer each time one fires keeps RunUntilIdle advancing; a stopped timer
+// no longer holds it. The settle callback, if non-nil, is invoked after each
 // advance to let the caller yield to worker goroutines (e.g. runtime.Gosched
 // loops); RunUntilIdle already yields between steps.
 func (v *Virtual) RunUntilIdle(settle func()) {

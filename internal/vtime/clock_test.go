@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -147,4 +148,106 @@ func TestNextDeadline(t *testing.T) {
 		t.Fatalf("deadline = %v ok=%v", d, ok)
 	}
 	v.Advance(2 * time.Hour)
+}
+
+func TestVirtualAfterFiresOnAdvance(t *testing.T) {
+	v := NewVirtual()
+	tm := v.After(10 * time.Millisecond)
+	if v.Pending() != 1 {
+		t.Fatalf("pending = %d, want the armed timer", v.Pending())
+	}
+	v.Advance(5 * time.Millisecond)
+	select {
+	case <-tm.C:
+		t.Fatal("fired before its deadline")
+	default:
+	}
+	want := v.Now().Add(5 * time.Millisecond)
+	v.Advance(10 * time.Millisecond)
+	select {
+	case at := <-tm.C:
+		if !at.Equal(want) {
+			t.Fatalf("fired at %v, want its deadline %v", at, want)
+		}
+	default:
+		t.Fatal("Advance past the deadline did not fire the timer")
+	}
+	if tm.Stop() {
+		t.Fatal("Stop after firing reported a cancel")
+	}
+	if v.Pending() != 0 {
+		t.Fatalf("pending after firing = %d", v.Pending())
+	}
+	select {
+	case <-v.After(0).C:
+	default:
+		t.Fatal("zero-duration timer not fired at once")
+	}
+}
+
+// A wait abandoned because a wake-up won the select must leave nothing
+// behind: no pending waiter for Advance or RunUntilIdle, and no goroutine.
+func TestAfterStoppedByWakeLeavesNothing(t *testing.T) {
+	v := NewVirtual()
+	for name, c := range map[string]Clock{"real": Real{}, "scaled": NewScaled(10), "virtual": v} {
+		before := runtime.NumGoroutine()
+		wake := make(chan struct{}, 1)
+		for i := 0; i < 100; i++ {
+			wake <- struct{}{}
+			tm := c.After(time.Hour)
+			select {
+			case <-wake:
+				if !tm.Stop() {
+					t.Fatalf("%s: Stop of an unfired timer reported no cancel", name)
+				}
+			case <-tm.C:
+				t.Fatalf("%s: hour-long timer fired", name)
+			}
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("%s: %d goroutines after 100 abandoned waits, %d before", name, n, before)
+		}
+	}
+	if n := v.Pending(); n != 0 {
+		t.Fatalf("stopped timers still pending: %d", n)
+	}
+	if _, ok := v.NextDeadline(); ok {
+		t.Fatal("stopped timer still holds a deadline")
+	}
+	v.RunUntilIdle(nil) // returns at once: nothing armed
+}
+
+func TestRealAndScaledAfterFire(t *testing.T) {
+	for name, c := range map[string]Clock{"real": Real{}, "scaled": NewScaled(100)} {
+		t0 := time.Now()
+		select {
+		case <-c.After(100 * time.Millisecond).C:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: timer never fired", name)
+		}
+		if name == "scaled" && time.Since(t0) >= 100*time.Millisecond {
+			t.Fatalf("scaled timer took %v of wall time for 100ms at 100x", time.Since(t0))
+		}
+	}
+}
+
+func TestVirtualStopKeepsOtherWaitersOrdered(t *testing.T) {
+	v := NewVirtual()
+	a := v.After(10 * time.Millisecond)
+	b := v.After(20 * time.Millisecond)
+	c := v.After(30 * time.Millisecond)
+	if !b.Stop() {
+		t.Fatal("stop of armed timer failed")
+	}
+	v.Advance(25 * time.Millisecond)
+	<-a.C
+	select {
+	case <-b.C:
+		t.Fatal("stopped timer fired")
+	case <-c.C:
+		t.Fatal("later timer fired early")
+	default:
+	}
+	v.Advance(10 * time.Millisecond)
+	<-c.C
 }

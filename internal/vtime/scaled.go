@@ -46,3 +46,8 @@ func (s *Scaled) Sleep(d time.Duration) {
 	}
 	time.Sleep(time.Duration(float64(d) / s.scale))
 }
+
+// After arms a timer for d of scaled time (d/scale of wall time).
+func (s *Scaled) After(d time.Duration) *Timer {
+	return wallTimer(time.Duration(float64(d) / s.scale))
+}
