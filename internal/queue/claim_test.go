@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -205,7 +206,7 @@ func TestSweepRedeliversTicketedOrphanOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := q.take("wc"); !ok || got != id { // the consumer dies here
+	if got, ok := q.take("wc", q.state("wc")); !ok || got != id { // the consumer dies here
 		t.Fatalf("take = %d %v", got, ok)
 	}
 	if _, _, ok := q.claim("wc"); ok {
@@ -294,7 +295,7 @@ func TestSweepHealsPermitMiscounts(t *testing.T) {
 		}
 	}
 	lost, _ := q.Submit("wc", nil)
-	st.Incr(readyKey("wc"), -1) // the submitter died before its permit
+	st.Incr(readyKey("wc", q.state("wc").epoch.Load()), -1) // the submitter died before its permit
 	if got := drain(); len(got) != 0 {
 		t.Fatalf("claimed %v with no permit", got)
 	}
@@ -306,7 +307,7 @@ func TestSweepHealsPermitMiscounts(t *testing.T) {
 		t.Fatalf("stranded item not completed: %v", err)
 	}
 
-	st.Incr(readyKey("wc"), 1) // a permit too many
+	st.Incr(readyKey("wc", q.state("wc").epoch.Load()), 1) // a permit too many
 	if got := drain(); len(got) != 0 {
 		t.Fatalf("claimed %v from an empty log", got)
 	}
@@ -325,6 +326,290 @@ func TestSweepHealsPermitMiscounts(t *testing.T) {
 	if d, _ := q.Depth("wc"); d != 0 {
 		t.Fatalf("depth = %d", d)
 	}
+}
+
+// A lost permit is restored once however many hosts sweep: the checkpoint
+// runs under the sweep lock, so the second host sees the permit the first
+// restored and adds none, and the next submit is claimed at once rather
+// than landing in a ghost-ticketed slot.
+func TestSweepHealsLostPermitOnceAcrossHosts(t *testing.T) {
+	vc := vtime.NewVirtual()
+	eng := kvs.NewEngine()
+	eng.SetNowFunc(vc.Now)
+	st := &countingStore{Store: eng, delay: 200 * time.Microsecond}
+	mk := func(host string) *Queue {
+		q := New(Config{Store: st, Clock: vc, Host: host, LeaseTTL: time.Second}, execFunc(echo))
+		t.Cleanup(q.Close)
+		return q
+	}
+	a, b := mk("a"), mk("b")
+	lost, _ := a.Submit("wc", nil)
+	e := a.state("wc").epoch.Load()
+	eng.Incr(readyKey("wc", e), -1) // the submitter died before its permit
+	// Both hosts sweep concurrently, as two hosts would.
+	sweepBoth := func() {
+		var wg sync.WaitGroup
+		for _, q := range []*Queue{a, b} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				q.sweep("wc", q.state("wc"))
+			}()
+		}
+		wg.Wait()
+	}
+	sweepBoth() // both hosts set their marks
+	vc.Advance(1100 * time.Millisecond)
+	sweepBoth()
+	if r, _ := eng.Incr(readyKey("wc", e), 0); r != live+1 {
+		t.Fatalf("permits after two hosts healed = %d, want 1", r-live)
+	}
+	it, att, ok := b.claim("wc")
+	if !ok || it.Rec.ID != lost {
+		t.Fatalf("claim = %d ok=%v, want the stranded call %d", it.Rec.ID, ok, lost)
+	}
+	b.runItem("wc", it, att)
+	next, _ := a.Submit("wc", nil)
+	if it, _, ok := a.claim("wc"); !ok || it.Rec.ID != next {
+		t.Fatalf("claim after heal = %d ok=%v, want %d at once", it.Rec.ID, ok, next)
+	}
+}
+
+// The sweep reads only the slots ticketed since its last run: an item held
+// in flight does not make each sweep re-read, or rewrite, the deliveries
+// made after it.
+func TestSweepCostIgnoresHeldItem(t *testing.T) {
+	vc := vtime.NewVirtual()
+	eng := kvs.NewEngine()
+	eng.SetNowFunc(vc.Now)
+	st := &countingStore{Store: eng}
+	q := New(Config{Store: st, Clock: vc, Host: "h1", LeaseTTL: time.Hour, DepthCap: -1}, execFunc(echo))
+	t.Cleanup(q.Close)
+	fs := q.state("wc")
+	held, _ := q.Submit("wc", nil)
+	if it, _, ok := q.claim("wc"); !ok || it.Rec.ID != held {
+		t.Fatal("claim of the held item failed")
+	}
+	const rounds, batch = 20, 50
+	var bytes []int64
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < batch; i++ {
+			q.Submit("wc", []byte("x"))
+		}
+		for i := 0; i < batch; i++ {
+			it, att, ok := q.claim("wc")
+			if !ok {
+				t.Fatalf("round %d: claim %d failed", r, i)
+			}
+			q.runItem("wc", it, att)
+		}
+		vc.Advance(q.poll())
+		b0 := st.bytes.Load()
+		q.sweep("wc", fs)
+		bytes = append(bytes, st.bytes.Load()-b0)
+	}
+	t.Logf("bytes per sweep: %v", bytes)
+	first, last := bytes[1], bytes[rounds-1]
+	if last > first+first/5 {
+		t.Fatalf("sweep cost grew from %d to %d bytes with %d deliveries behind the held item", first, last, rounds*batch)
+	}
+	if len(fs.open) != 1 || fs.open[0].pos != 0 {
+		t.Fatalf("open slots = %+v, want only the held item", fs.open)
+	}
+}
+
+// Many submit/ack cycles keep the ready log bounded: once the log reaches
+// sealSlots the sweep seals the epoch and carries its unretired slots
+// (here one item held in flight throughout) into a fresh one, and the
+// old epoch's keys are deleted one seal later.
+func TestSweepCompactsReadyLog(t *testing.T) {
+	q, vc := newVirtualQueue(t, Config{Host: "h1", LeaseTTL: time.Second, DepthCap: -1}, execFunc(echo))
+	eng := q.cfg.Store.(*kvs.Engine)
+	held, _ := q.Submit("wc", []byte("held"))
+	hit, hatt, ok := q.claim("wc")
+	if !ok || hit.Rec.ID != held {
+		t.Fatal("claim of the held item failed")
+	}
+	const cycles, batch = 24, 1000
+	logBytes := func() (total int) {
+		keys, _ := eng.AllKeys()
+		for _, k := range keys {
+			if strings.HasPrefix(k.Key, "q/log/") {
+				n, _ := eng.Len(k.Key)
+				total += n
+			}
+		}
+		return total
+	}
+	maxLog := 0
+	for c := 0; c < cycles; c++ {
+		for i := 0; i < batch; i++ {
+			if _, err := q.Submit("wc", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < batch; i++ {
+			it, att, ok := q.claim("wc")
+			if !ok {
+				t.Fatalf("cycle %d: claim %d failed", c, i)
+			}
+			q.runItem("wc", it, att)
+		}
+		eng.SetEx(leaseKey(held), []byte("h1"), time.Second) // still running
+		vc.Advance(600 * time.Millisecond)
+		q.sweep("wc", q.state("wc"))
+		if n := logBytes(); n > maxLog {
+			maxLog = n
+		}
+	}
+	e := q.state("wc").epoch.Load()
+	t.Logf("epoch %d, largest total log %d bytes after %d deliveries", e, maxLog, cycles*batch)
+	if e < 3 {
+		t.Fatalf("epoch = %d after %d deliveries; the log was never compacted", e, cycles*batch)
+	}
+	if bound := 2 * (sealSlots + 2*batch) * slotSize; maxLog > bound {
+		t.Fatalf("ready log reached %d bytes, want at most %d", maxLog, bound)
+	}
+	keys, _ := eng.AllKeys()
+	for _, k := range keys {
+		for _, old := range []int64{e - 2, e - 3} {
+			if strings.HasSuffix(k.Key, "/wc/"+fmt.Sprint(old)) {
+				t.Fatalf("key %s of epoch %d outlived two seals", k.Key, old)
+			}
+		}
+	}
+	q.runItem("wc", hit, hatt) // the held item was carried, not lost
+	if rec := awaitResult(t, q, held); string(rec.Output) != "echo:held" {
+		t.Fatalf("held result = %+v", rec)
+	}
+	if d, _ := q.Depth("wc"); d != 0 {
+		t.Fatalf("depth = %d", d)
+	}
+	if r := q.Stats().Redelivered; r != 0 {
+		t.Fatalf("%d redeliveries", r)
+	}
+}
+
+// A seal carries ready and in-flight slots; a submit whose slot lands in a
+// sealed epoch appends it again to the next one, also after the sealed
+// epoch's keys are gone, and every call runs exactly once.
+func TestSweepSealCarriesAndSettlesStragglers(t *testing.T) {
+	var runs atomic.Int32
+	count := execFunc(func(fn string, in []byte, tr obsv.TraceID) ([]byte, int32, error) {
+		runs.Add(1)
+		return echo(fn, in, tr)
+	})
+	vc := vtime.NewVirtual()
+	eng := kvs.NewEngine()
+	eng.SetNowFunc(vc.Now)
+	mk := func(host string) *Queue {
+		q := New(Config{Store: eng, Clock: vc, Host: host, LeaseTTL: time.Second}, count)
+		t.Cleanup(q.Close)
+		return q
+	}
+	a, b := mk("a"), mk("b")
+	fa, fb := a.state("wc"), b.state("wc")
+	inflight, _ := a.Submit("wc", []byte("1"))
+	ready, _ := a.Submit("wc", []byte("2"))
+	it, _, ok := a.claim("wc") // its host dies holding it
+	if !ok || it.Rec.ID != inflight {
+		t.Fatal("claim failed")
+	}
+	if e, err := b.advance("wc", fb, 1); err != nil || e != 2 {
+		t.Fatalf("advance = %d %v", e, err)
+	}
+	late, _ := a.Submit("wc", []byte("3")) // a still knows epoch 1
+	if e := fa.epoch.Load(); e != 2 {
+		t.Fatalf("submitter epoch after settling = %d, want 2", e)
+	}
+	b.advance("wc", fb, 2)
+	b.advance("wc", fb, 3)
+	fa.epoch.Store(1) // a submitter stalled since epoch 1
+	stale, _ := a.Submit("wc", []byte("4"))
+	fa.epoch.Store(1) // and a consumer that has idled since
+	if _, _, ok := a.claim("wc"); !ok {
+		t.Fatal("lagging consumer claimed nothing")
+	}
+	keys, _ := eng.AllKeys()
+	for _, k := range keys {
+		if strings.HasSuffix(k.Key, "/wc/1") {
+			t.Fatalf("key %s of compacted epoch 1 recreated", k.Key)
+		}
+	}
+	drain := func() {
+		for {
+			it, att, ok := b.claim("wc")
+			if !ok {
+				return
+			}
+			b.runItem("wc", it, att)
+		}
+	}
+	drain()
+	vc.Advance(1100 * time.Millisecond) // the dead host's lease lapses
+	drain()
+	vc.Advance(100 * time.Millisecond)
+	drain()
+	for _, id := range []uint64{inflight, ready, late, stale} {
+		if rec := awaitResult(t, b, id); rec.Status != mbus.CallSucceeded {
+			t.Fatalf("call %d: %+v", id, rec)
+		}
+	}
+	if n := runs.Load(); n != 4 {
+		t.Fatalf("%d executions for 4 calls", n)
+	}
+	if d, _ := b.Depth("wc"); d != 0 {
+		t.Fatalf("depth = %d", d)
+	}
+	assertRetired(t, eng)
+}
+
+// Submits from several goroutines and consumers on two hosts race the
+// seals that compact the log: every call still completes with its own
+// output and nothing is left queued.
+func TestSweepSealUnderConcurrentLoad(t *testing.T) {
+	eng := kvs.NewEngine()
+	mk := func(host string) *Queue {
+		q := New(Config{Store: eng, Host: host, Poll: time.Millisecond, LeaseTTL: 10 * time.Millisecond, DepthCap: -1, Concurrency: 2}, execFunc(echo))
+		q.EnsureConsumer("wc")
+		return q
+	}
+	a, b := mk("a"), mk("b")
+	defer a.Close()
+	defer b.Close()
+	const submitters, per = 3, 3000
+	ids := make([][]uint64, submitters)
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				q := a
+				if i%2 == 1 {
+					q = b
+				}
+				id, err := q.Submit("wc", []byte(fmt.Sprintf("%d/%d", g, i)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ids[g] = append(ids[g], id)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range ids {
+		for i, id := range ids[g] {
+			if rec := awaitResult(t, a, id); string(rec.Output) != fmt.Sprintf("echo:%d/%d", g, i) {
+				t.Fatalf("call %d/%d: %+v", g, i, rec)
+			}
+		}
+	}
+	waitFor(t, "queue drained", func() bool { d, _ := a.Depth("wc"); return d == 0 })
+	e, _ := eng.Incr(epochKey("wc"), 0)
+	t.Logf("epoch %d after %d calls, redelivered %d+%d", e, submitters*per, a.Stats().Redelivered, b.Stats().Redelivered)
+	assertRetired(t, eng)
 }
 
 // A fault-free run redelivers nothing and leaves no per-item bookkeeping

@@ -136,23 +136,41 @@ func New(cfg Config, exec Executor) *Queue {
 }
 
 // fnState is this handle's local state for one function: the doorbell
-// its consumers wait on and the sweep's bookkeeping.
+// its consumers wait on, the ready-log epoch it last saw, and the sweep's
+// bookkeeping.
 type fnState struct {
 	// wake holds up to Concurrency tokens; each local submit adds one, so
 	// a burst wakes every consumer and a lone submit wakes one.
 	wake chan struct{}
+	// epoch is the ready-log epoch this handle last saw (0 = none yet).
+	epoch atomic.Int64
 
 	// mu guards the fields below. A sweep holds it throughout and claims
 	// TryLock it, so one local sweep runs at a time and never blocks a claim.
 	mu      sync.Mutex
 	sweptAt time.Time
+	// swept is the epoch the fields below describe; epochAt is when this
+	// handle's sweep first saw it.
+	swept   int64
+	epochAt time.Time
+	// scanned counts the epoch's slots the sweep has read; every one was
+	// ticketed when read. open holds those not yet retired: leased,
+	// parked in backoff, or ticketed and not yet leased.
+	scanned int64
+	open    []openSlot
 	// At markAt the head cursor stood at markHead and the log held markLen
-	// slots. Each lease TTL the mark moves on and stale takes markHead:
-	// every slot below stale was ticketed at least one lease TTL ago.
+	// slots; the mark moves once per lease TTL.
 	markAt   time.Time
 	markHead int64
 	markLen  int64
-	stale    int64
+}
+
+// openSlot is a ticketed log slot the sweep has not retired: its position
+// in the epoch, its packed value and when this handle first read it.
+type openSlot struct {
+	pos  int64
+	slot uint64
+	seen time.Time
 }
 
 func (q *Queue) stateLocked(fn string) *fnState {
@@ -171,21 +189,25 @@ func (q *Queue) state(fn string) *fnState {
 }
 
 // Tier key layout. Everything is keyed by the global call id except the
-// per-function keys: the ready log and its cursors, pending set, depth
+// per-function keys: the ready-log epoch and, per epoch, the log, its
+// ready and head counters and its seal record; the pending set, depth
 // counter, dead-letter set, chain record and sweep lock.
 func itemKey(id uint64) string    { return "q/item/" + strconv.FormatUint(id, 10) }
 func leaseKey(id uint64) string   { return "q/lease/" + strconv.FormatUint(id, 10) }
 func attemptKey(id uint64) string { return "q/attempt/" + strconv.FormatUint(id, 10) }
 func resultKey(id uint64) string  { return "q/result/" + strconv.FormatUint(id, 10) }
-func logKey(fn string) string     { return "q/log/" + fn }
-func readyKey(fn string) string   { return "q/ready/" + fn }
-func headKey(fn string) string    { return "q/head/" + fn }
-func lowKey(fn string) string     { return "q/low/" + fn }
+func epochKey(fn string) string   { return "q/epoch/" + fn }
 func pendingKey(fn string) string { return "q/pending/" + fn }
 func depthKey(fn string) string   { return "q/depth/" + fn }
 func deadKey(fn string) string    { return "q/dead/" + fn }
 func chainKey(fn string) string   { return "q/chain/" + fn }
 func claimKey(fn string) string   { return "q/claim/" + fn }
+
+func epochPart(fn string, e int64) string { return fn + "/" + strconv.FormatInt(e, 10) }
+func logKey(fn string, e int64) string    { return "q/log/" + epochPart(fn, e) }
+func readyKey(fn string, e int64) string  { return "q/ready/" + epochPart(fn, e) }
+func headKey(fn string, e int64) string   { return "q/head/" + epochPart(fn, e) }
+func sealKey(fn string, e int64) string   { return "q/seal/" + epochPart(fn, e) }
 
 const idKey = "q/id"
 
@@ -198,14 +220,25 @@ const (
 	idMask   = 1<<idBits - 1
 )
 
-func packSlot(id uint64, gen int64) []byte {
-	return binary.LittleEndian.AppendUint64(nil, uint64(gen)<<idBits|id&idMask)
-}
+// An open epoch's ready and head counters are offset by live: ready holds
+// live plus the permits left, and a seal subtracts live from it, so a
+// sealed counter and one deleted (and recreated by a late increment) both
+// read below live/2. A seal adds live to head, so a ticket taken after it
+// names no slot.
+const live = 1 << 40
 
-func unpackSlot(b []byte) (uint64, int64) {
-	v := binary.LittleEndian.Uint64(b)
-	return v & idMask, int64(v >> idBits)
-}
+// sealSlots is the log length at which the sweep compacts an epoch: at
+// most once per lease TTL per handle, it seals the epoch and carries its
+// unretired slots into a fresh one.
+const sealSlots = 4096
+
+func packSlot(id uint64, gen int64) uint64 { return uint64(gen)<<idBits | id&idMask }
+
+func unpackSlot(v uint64) (uint64, int64) { return v & idMask, int64(v >> idBits) }
+
+func slotBytes(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+
+func slotAt(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[i*slotSize:]) }
 
 // item is the tier-side queue record: the call plus its enqueue time on the
 // submitter's clock (feeds the queue.wait span).
@@ -342,24 +375,100 @@ func (q *Queue) submit(fn string, input []byte, parent, trace uint64) (uint64, e
 		st.Incr(depthKey(fn), -1)
 		return 0, err
 	}
-	if _, err := st.Append(logKey(fn), packSlot(id, 0)); err != nil {
+	if err := q.enqueue(fn, fs, packSlot(id, 0)); err != nil {
 		q.ack(fn, id)
 		return 0, err
 	}
-	// Once appended the item is accepted: a failed permit is made good by
-	// the sweep's checkpoint, which finds the slot unticketed.
-	q.publish(fn, fs)
 	q.enqueued.Add(1)
 	return id, nil
 }
 
-// publish adds one claim permit for a slot already appended to fn's log
-// and rings this handle's doorbell for fn.
-func (q *Queue) publish(fn string, fs *fnState) {
-	q.cfg.Store.Incr(readyKey(fn), 1)
+// enqueue appends slot to fn's ready log and adds its permit. Once the
+// slot is appended to an open epoch the item is accepted: a failed permit
+// is made good by the sweep, which finds the slot unticketed. A slot that
+// lands in an epoch sealed meanwhile is settled: left to the seal when the
+// seal carried it, appended to the next epoch otherwise.
+func (q *Queue) enqueue(fn string, fs *fnState, slot uint64) error {
+	st := q.cfg.Store
+	e, err := q.epoch(fn, fs)
+	if err != nil {
+		return err
+	}
+	for {
+		n, err := st.Append(logKey(fn, e), slotBytes(slot))
+		if err != nil {
+			return err
+		}
+		r, err := st.Incr(readyKey(fn, e), 1)
+		if err != nil || r > live/2 {
+			q.ring(fs)
+			return nil
+		}
+		carried, next, err := q.settle(fn, fs, e, int64(n/slotSize-1))
+		if err != nil || carried {
+			return err
+		}
+		e = next
+	}
+}
+
+// ring wakes one of this handle's consumers for the function.
+func (q *Queue) ring(fs *fnState) {
 	select {
 	case fs.wake <- struct{}{}:
 	default:
+	}
+}
+
+// epoch returns fn's current ready-log epoch as this handle last saw it,
+// opening the first epoch if fn has none yet.
+func (q *Queue) epoch(fn string, fs *fnState) (int64, error) {
+	if e := fs.epoch.Load(); e > 0 {
+		return e, nil
+	}
+	e, err := q.cfg.Store.Incr(epochKey(fn), 0)
+	if err == nil && e == 0 {
+		e, err = q.advance(fn, fs, 0)
+	}
+	if err != nil {
+		return 0, err
+	}
+	fs.epoch.Store(e)
+	return e, nil
+}
+
+// settle resolves a slot appended at pos of epoch e whose permit found e
+// sealed. A slot below the seal's measured log length is carried by the
+// seal; any other is to be appended again, to the epoch settle returns. A
+// seal left unfinished by a dead sweep is finished here.
+func (q *Queue) settle(fn string, fs *fnState, e, pos int64) (bool, int64, error) {
+	st := q.cfg.Store
+	for {
+		b, err := st.Get(sealKey(fn, e))
+		if err != nil {
+			return false, 0, err
+		}
+		if b != nil {
+			if _, n := parseSeal(b); pos < n {
+				return true, 0, nil
+			}
+		}
+		cur, err := st.Incr(epochKey(fn), 0)
+		if err != nil {
+			return false, 0, err
+		}
+		if cur > e {
+			if b == nil && cur > e+1 {
+				// e was compacted away and this slot recreated its keys.
+				st.Delete(logKey(fn, e))
+				st.Delete(readyKey(fn, e))
+			}
+			fs.epoch.Store(cur)
+			return false, cur, nil
+		}
+		if _, err := q.advance(fn, fs, e); err != nil {
+			return false, 0, err
+		}
 	}
 }
 
@@ -430,11 +539,12 @@ func (q *Queue) consumeLoop(fn string, fs *fnState) {
 // claim tries again if it put anything back.
 func (q *Queue) claim(fn string) (item, int, bool) {
 	st := q.cfg.Store
+	fs := q.state(fn)
 	swept := false
 	for {
-		id, ok := q.take(fn)
+		id, ok := q.take(fn, fs)
 		if !ok {
-			if swept || !q.sweep(fn, q.state(fn)) {
+			if swept || !q.sweep(fn, fs) {
 				return item{}, 0, false
 			}
 			swept = true
@@ -471,54 +581,87 @@ func (q *Queue) claim(fn string) (item, int, bool) {
 	}
 }
 
-// take claims the next ready slot of fn's log: a permit from the ready
+// take claims the next ready slot of fn's log, moving to the next epoch
+// once if the one this handle knows has been sealed.
+func (q *Queue) take(fn string, fs *fnState) (uint64, bool) {
+	e := fs.epoch.Load()
+	for moved := false; ; moved = true {
+		if e == 0 || moved {
+			cur, err := q.cfg.Store.Incr(epochKey(fn), 0)
+			if err != nil || cur == 0 || (moved && cur == e) {
+				return 0, false
+			}
+			if moved && cur > e+1 {
+				// e's keys were deleted and the permit probe recreated one.
+				q.cfg.Store.Delete(readyKey(fn, e))
+			}
+			fs.epoch.Store(cur)
+			e = cur
+		}
+		id, ok, open := q.takeFrom(fn, e)
+		if ok || open || moved {
+			return id, ok
+		}
+	}
+}
+
+// takeFrom claims the next ready slot of epoch e: a permit from the ready
 // counter, then a ticket from the head cursor naming the slot. Permits
 // never outnumber appended slots, so the ticketed slot is always written.
-func (q *Queue) take(fn string) (uint64, bool) {
+// open reports that e was not found sealed.
+func (q *Queue) takeFrom(fn string, e int64) (id uint64, ok, open bool) {
 	st := q.cfg.Store
 	for {
-		n, err := st.Incr(readyKey(fn), -1)
+		n, err := st.Incr(readyKey(fn, e), -1)
 		if err != nil {
-			return 0, false
+			return 0, false, true
 		}
-		if n >= 0 {
+		if n >= live {
 			break
 		}
 		// No permit: hand it back. A submit that raced in between leaves
-		// the count positive, and its slot is ours to take.
-		if r, err := st.Incr(readyKey(fn), 1); err != nil || r <= 0 {
-			return 0, false
+		// the count above live, and its slot is ours to take.
+		r, err := st.Incr(readyKey(fn, e), 1)
+		if err != nil || r <= live {
+			return 0, false, err != nil || r > live/2
 		}
 	}
-	t, err := st.Incr(headKey(fn), 1)
+	t, err := st.Incr(headKey(fn, e), 1)
 	if err != nil {
-		st.Incr(readyKey(fn), 1)
-		return 0, false
+		st.Incr(readyKey(fn, e), 1)
+		return 0, false, true
 	}
-	b, err := st.GetRange(logKey(fn), int(t-1)*slotSize, slotSize)
+	if t > live/2 {
+		// Sealed between the permit and the ticket: the seal carried the
+		// slot this permit stood for.
+		return 0, false, false
+	}
+	b, err := st.GetRange(logKey(fn, e), int(t-1)*slotSize, slotSize)
 	if err != nil {
-		return 0, false // the sweep redelivers the ticketed slot
+		return 0, false, true // the sweep redelivers the ticketed slot
 	}
 	if len(b) != slotSize {
-		// A permit too many (a checkpoint restored one that was only in
-		// transit) ticketed a slot not yet appended. Absorb the excess so
-		// later tickets line up with their slots again; the sweep
-		// redelivers the item that lands in the skipped slot.
-		st.Incr(readyKey(fn), -1)
-		return 0, false
+		// A permit too many (restored for a claimer presumed dead that
+		// was only slow) ticketed a slot not yet appended. Absorb the
+		// excess so later tickets line up with their slots again; the
+		// sweep redelivers the item that lands in the skipped slot.
+		st.Incr(readyKey(fn, e), -1)
+		return 0, false, true
 	}
-	id, _ := unpackSlot(b)
-	return id, id != 0
+	id, _ = unpackSlot(slotAt(b, 0))
+	return id, id != 0, true
 }
 
 // sweep redelivers fn's ticketed items that are neither acked nor leased:
 // a lapsed lease (its consumer died), a finished backoff, or a slot whose
 // consumer died between its ticket and its lease. It runs at most once per
-// poll interval on this handle, judges only the window of ticketed slots
-// not yet retired, and is serialized across hosts by the q/claim/<fn> tier
-// lock, so each item is put back once. Its cost grows with the items in
-// flight, not with the depth of the queue. It reports whether it put back
-// an item or a lost permit.
+// poll interval on this handle and is serialized across hosts by the
+// q/claim/<fn> tier lock, so each item is put back once. Each sweep reads
+// only the slots ticketed since this handle's last one and judges the ones
+// it has not yet seen retired, so its cost follows the deliveries since
+// the last sweep and the items in flight, not the depth. Once per lease
+// TTL it also restores lost permits and compacts a long log. It reports
+// whether it made anything claimable.
 func (q *Queue) sweep(fn string, fs *fnState) (requeued bool) {
 	if !fs.mu.TryLock() {
 		return false
@@ -526,105 +669,130 @@ func (q *Queue) sweep(fn string, fs *fnState) (requeued bool) {
 	defer fs.mu.Unlock()
 	now := q.cfg.Clock.Now()
 	if !fs.sweptAt.IsZero() && now.Sub(fs.sweptAt) < q.poll() {
-		return requeued
+		return false
 	}
 	fs.sweptAt = now
 	st := q.cfg.Store
-	lo, err := st.Incr(lowKey(fn), 0)
-	if err != nil {
-		return requeued
+	e, err := st.Incr(epochKey(fn), 0)
+	if err != nil || e == 0 {
+		return false
 	}
-	hi, err := st.Incr(headKey(fn), 0)
-	if err != nil {
-		return requeued
-	}
-	requeued = q.checkpoint(fn, fs, now, hi)
-	if hi <= lo {
-		return requeued
+	hi, err := st.Incr(headKey(fn, e), 0)
+	if err != nil || (e == fs.swept && hi == fs.scanned && len(fs.open) == 0 && now.Sub(fs.markAt) < q.leaseTTL()) {
+		return false // nothing ticketed, open or due since the last sweep
 	}
 	tok, err := st.Lock(claimKey(fn), true, q.leaseTTL())
 	if err != nil {
-		return requeued
+		return false
 	}
 	defer st.Unlock(claimKey(fn), tok)
-	// Only sweeps move the low cursor; another host's may have.
-	if lo, err = st.Incr(lowKey(fn), 0); err != nil || hi <= lo {
-		return requeued
+	// Another host's sweep may have sealed e meanwhile.
+	if e, err = st.Incr(epochKey(fn), 0); err != nil {
+		return false
 	}
-	win, err := st.GetRange(logKey(fn), int(lo)*slotSize, int(hi-lo)*slotSize)
-	if err != nil {
-		return requeued
+	fs.epoch.Store(e)
+	if e != fs.swept {
+		fs.swept, fs.epochAt, fs.scanned, fs.open, fs.markAt = e, now, 0, nil, time.Time{}
 	}
-	n := len(win) / slotSize
-	slot := func(i int) []byte { return win[i*slotSize : (i+1)*slotSize] }
-
-	var idx, free []int
-	var keys, itemKeys []string
-	for i := 0; i < n; i++ {
-		if id, _ := unpackSlot(slot(i)); id != 0 {
-			idx = append(idx, i)
-			keys = append(keys, leaseKey(id))
+	if r, err := st.Incr(readyKey(fn, e), 0); err != nil || r <= live/2 {
+		// Sealed by a sweep that died before finishing.
+		return err == nil && q.seal(fn, fs, e) == nil
+	}
+	if hi, err = st.Incr(headKey(fn, e), 0); err != nil {
+		return false
+	}
+	if hi > fs.scanned {
+		b, err := st.GetRange(logKey(fn, e), int(fs.scanned)*slotSize, int(hi-fs.scanned)*slotSize)
+		if err != nil {
+			return false
 		}
+		for i := 0; i < len(b)/slotSize; i++ {
+			if v := slotAt(b, i); v != 0 {
+				fs.open = append(fs.open, openSlot{fs.scanned + int64(i), v, now})
+			}
+		}
+		fs.scanned += int64(len(b) / slotSize)
 	}
-	if len(idx) == 0 {
-		st.Incr(lowKey(fn), int64(n))
-		return requeued
+	requeued = q.judge(fn, fs, e, now)
+	restored, compact := q.checkpoint(fn, fs, e, now, hi)
+	if compact && q.seal(fn, fs, e) == nil {
+		return true
+	}
+	return requeued || restored
+}
+
+// judge retires this handle's open slots of epoch e that are acked and
+// puts back the ones that are due, reporting whether it put any back.
+func (q *Queue) judge(fn string, fs *fnState, e int64, now time.Time) (requeued bool) {
+	if len(fs.open) == 0 {
+		return false
+	}
+	st := q.cfg.Store
+	keys := make([]string, len(fs.open))
+	for i, o := range fs.open {
+		id, _ := unpackSlot(o.slot)
+		keys[i] = leaseKey(id)
 	}
 	leases, err := kvs.MGet(st, keys)
 	if err != nil {
-		return requeued
+		return false
 	}
 	// Lease-free slots are acked or due. Items are read after leases, and
 	// ack deletes the item before the lease, so a lease-free slot whose
 	// item is present was not acked.
-	for j, i := range idx {
-		if leases[j] == nil {
+	var free []int
+	keys = keys[:0]
+	for i, o := range fs.open {
+		if leases[i] == nil {
+			id, _ := unpackSlot(o.slot)
 			free = append(free, i)
-			id, _ := unpackSlot(slot(i))
-			itemKeys = append(itemKeys, itemKey(id))
+			keys = append(keys, itemKey(id))
 		}
 	}
-	items, err := kvs.MGet(st, itemKeys)
+	items, err := kvs.MGet(st, keys)
 	if err != nil {
-		return requeued
+		return false
 	}
-	retired := false
+	drop := make(map[int]bool, len(free))
 	for j, i := range free {
-		id, gen := unpackSlot(slot(i))
-		if items[j] != nil {
-			att, ok := q.dueAttempt(id, gen, lo+int64(i) < fs.stale)
-			if !ok {
-				continue
-			}
-			if _, err := st.Append(logKey(fn), packSlot(id, att)); err != nil {
-				continue
-			}
-			q.publish(fn, fs)
-			q.redelivered.Add(1)
-			requeued = true
+		o := fs.open[i]
+		if items[j] == nil {
+			drop[i] = true
+			continue
 		}
-		clear(slot(i))
-		retired = true
-	}
-	if !retired {
-		return requeued
-	}
-	// Retire: zero the judged slots and move the low cursor past the
-	// leading run of retired ones. Claimers never write below the head and
-	// submits only append beyond it, so rewriting the window is safe.
-	first := 0
-	for first < n {
-		if id, _ := unpackSlot(slot(first)); id != 0 {
-			break
+		id, gen := unpackSlot(o.slot)
+		att, due := q.dueAttempt(id, gen, now.Sub(o.seen) >= q.leaseTTL())
+		if !due {
+			continue
 		}
-		first++
+		// Another host's sweep may have put it back already and zeroed
+		// the slot.
+		b, err := st.GetRange(logKey(fn, e), int(o.pos)*slotSize, slotSize)
+		if err != nil {
+			continue
+		}
+		if len(b) != slotSize || slotAt(b, 0) != o.slot {
+			drop[i] = true
+			continue
+		}
+		// Holding the sweep lock, no seal can close e under this append.
+		if _, err := st.Append(logKey(fn, e), slotBytes(packSlot(id, att))); err != nil {
+			continue
+		}
+		st.Incr(readyKey(fn, e), 1)
+		q.ring(fs)
+		q.redelivered.Add(1)
+		requeued = true
+		st.SetRange(logKey(fn, e), int(o.pos)*slotSize, make([]byte, slotSize))
+		drop[i] = true
 	}
-	if first < n {
-		st.SetRange(logKey(fn), int(lo)*slotSize+first*slotSize, win[first*slotSize:])
+	kept := fs.open[:0]
+	for i, o := range fs.open {
+		if !drop[i] {
+			kept = append(kept, o)
+		}
 	}
-	if first > 0 {
-		st.Incr(lowKey(fn), int64(first))
-	}
+	fs.open = kept
 	return requeued
 }
 
@@ -642,50 +810,201 @@ func (q *Queue) sweep(fn string, fs *fnState) (requeued bool) {
 func (q *Queue) dueAttempt(id uint64, gen int64, stale bool) (int64, bool) {
 	st := q.cfg.Store
 	att, err := st.Incr(attemptKey(id), 0)
-	if err != nil || (att <= gen && !stale) {
+	if err != nil {
 		return 0, false
 	}
-	if lease, err := st.Get(leaseKey(id)); err != nil || lease != nil {
+	due := att > gen || stale
+	if due {
+		if lease, err := st.Get(leaseKey(id)); err != nil || lease != nil {
+			return 0, false
+		}
+	} else if att > 0 {
 		return 0, false
 	}
+	// A zero count may be one the read above recreated after an ack.
 	blob, err := st.Get(itemKey(id))
 	if err != nil {
 		return 0, false
 	}
 	if blob == nil {
-		// Acked meanwhile: the read above may have recreated its attempt
-		// counter, so drop it again as ack does.
+		// Acked meanwhile: drop the recreated counter again as ack does.
 		st.Delete(attemptKey(id))
 		return 0, false
 	}
-	return att, true
+	return att, due
 }
 
-// checkpoint moves fn's mark once per lease TTL. It advances the stale
-// bound and restores permits lost between a log append and its permit (a
-// submitter or claimer that died between the two, or a failed permit
-// write): log slots appended before the previous mark that are still
-// unticketed while no permit is left. It reports whether it restored any.
-func (q *Queue) checkpoint(fn string, fs *fnState, now time.Time, hi int64) (restored bool) {
+// checkpoint moves this handle's mark on epoch e once per lease TTL,
+// holding the sweep lock. It restores permits lost between a log append
+// and its permit (a submitter that died between the two, or a failed
+// permit write): if no ticket was taken for a whole lease TTL while slots
+// appended before the mark wait unticketed and no permit is left, those
+// slots get permits. A claimer that held its permit that long without a
+// ticket is presumed dead. compact reports that the log has reached
+// sealSlots and this handle has seen the epoch for a lease TTL.
+func (q *Queue) checkpoint(fn string, fs *fnState, e int64, now time.Time, hi int64) (restored, compact bool) {
 	if !fs.markAt.IsZero() && now.Sub(fs.markAt) < q.leaseTTL() {
-		return false
+		return false, false
 	}
 	st := q.cfg.Store
-	n, err := st.Len(logKey(fn))
+	n, err := st.Len(logKey(fn, e))
 	if err != nil {
-		return false
+		return false, false
 	}
-	if !fs.markAt.IsZero() {
-		fs.stale = fs.markHead
-		if hi < fs.markLen {
-			if r, err := st.Incr(readyKey(fn), 0); err == nil && r <= 0 {
-				_, err = st.Incr(readyKey(fn), fs.markLen-hi)
-				restored = err == nil
+	slots := int64(n / slotSize)
+	if !fs.markAt.IsZero() && hi == fs.markHead && hi < fs.markLen {
+		if r, err := st.Incr(readyKey(fn, e), 0); err == nil && r <= live {
+			_, err = st.Incr(readyKey(fn, e), fs.markLen-hi)
+			restored = err == nil
+		}
+	}
+	fs.markAt, fs.markHead, fs.markLen = now, hi, slots
+	return restored, slots >= sealSlots && now.Sub(fs.epochAt) >= q.leaseTTL()
+}
+
+// advance finishes sealing fn's epoch e under the sweep lock, unless
+// another sweep already moved fn past it, and returns the current epoch.
+func (q *Queue) advance(fn string, fs *fnState, e int64) (int64, error) {
+	fs.mu.Lock() // seal reads and resets the sweep's bookkeeping
+	defer fs.mu.Unlock()
+	st := q.cfg.Store
+	tok, err := st.Lock(claimKey(fn), true, q.leaseTTL())
+	if err != nil {
+		return 0, err
+	}
+	defer st.Unlock(claimKey(fn), tok)
+	cur, err := st.Incr(epochKey(fn), 0)
+	if err != nil || cur != e {
+		return cur, err
+	}
+	if err := q.seal(fn, fs, e); err != nil {
+		return 0, err
+	}
+	return e + 1, nil
+}
+
+// seal compacts fn's ready log, holding the sweep lock: it closes epoch e
+// and opens e+1 holding only e's unretired slots. Ticketed slots whose item
+// is still present (in flight, in backoff, or not yet leased) are carried
+// ticketed, unticketed ones carried with a permit each; retired slots are
+// left behind. The log length and head cursor at the seal are recorded, so
+// a submitter whose permit found e sealed knows whether its slot was
+// carried, and a sweep that finds e sealed but not advanced redoes the
+// same carry. Epoch 0 is never written and only ever sealed empty, which
+// opens epoch 1. Keys of e-1 are deleted first, by when any submitter
+// still using e-1 has had a whole epoch to finish; its log goes last, so a
+// late submitter that finds the seal record also appended to the original
+// log and may trust its position.
+func (q *Queue) seal(fn string, fs *fnState, e int64) error {
+	st := q.cfg.Store
+	if e > 0 {
+		for _, k := range []string{readyKey(fn, e-1), headKey(fn, e-1), sealKey(fn, e-1), logKey(fn, e-1)} {
+			st.Delete(k)
+		}
+	}
+	var hc, n int64
+	if b, err := st.Get(sealKey(fn, e)); err != nil {
+		return err
+	} else if b != nil {
+		hc, n = parseSeal(b)
+	} else {
+		r, err := st.Incr(readyKey(fn, e), 0)
+		if err == nil && r > live/2 {
+			_, err = st.Incr(readyKey(fn, e), -live)
+		}
+		if err != nil {
+			return err
+		}
+		h, err := st.Incr(headKey(fn, e), 0)
+		if err == nil && h <= live/2 {
+			h, err = st.Incr(headKey(fn, e), live)
+		}
+		if err != nil {
+			return err
+		}
+		ln, err := st.Len(logKey(fn, e))
+		if err != nil {
+			return err
+		}
+		hc, n = h-live, int64(ln/slotSize)
+		if err := st.Set(sealKey(fn, e), []byte(fmt.Sprintf("%d %d", hc, n))); err != nil {
+			return err
+		}
+	}
+	var ticketed, ready []byte
+	if n > 0 {
+		win, err := st.GetRange(logKey(fn, e), 0, int(n)*slotSize)
+		if err != nil {
+			return err
+		}
+		// Ticketed slots this handle's sweep saw retired need no item read.
+		known, open := int64(0), map[int64]bool{}
+		if fs.swept == e {
+			known = fs.scanned
+			for _, o := range fs.open {
+				open[o.pos] = true
+			}
+		}
+		var cand []uint64
+		var keys []string
+		for i := int64(0); i < n; i++ {
+			v := slotAt(win, int(i))
+			switch {
+			case v == 0:
+			case i >= hc:
+				ready = binary.LittleEndian.AppendUint64(ready, v)
+			case i >= known || open[i]:
+				id, _ := unpackSlot(v)
+				cand = append(cand, v)
+				keys = append(keys, itemKey(id))
+			}
+		}
+		items, err := kvs.MGet(st, keys)
+		if err != nil {
+			return err
+		}
+		for j, v := range cand {
+			if items[j] != nil {
+				ticketed = binary.LittleEndian.AppendUint64(ticketed, v)
 			}
 		}
 	}
-	fs.markAt, fs.markHead, fs.markLen = now, hi, int64(n/slotSize)
-	return restored
+	next := e + 1
+	if err := st.Set(logKey(fn, next), append(ticketed, ready...)); err != nil {
+		return err
+	}
+	if err := setCounter(st, headKey(fn, next), int64(len(ticketed)/slotSize)); err != nil {
+		return err
+	}
+	if err := setCounter(st, readyKey(fn, next), live+int64(len(ready)/slotSize)); err != nil {
+		return err
+	}
+	if _, err := st.Incr(epochKey(fn), 1); err != nil {
+		return err
+	}
+	fs.epoch.Store(next)
+	fs.swept = 0 // the next sweep reads the new epoch from its start
+	for i := 0; i < len(ready)/slotSize && i < cap(fs.wake); i++ {
+		q.ring(fs)
+	}
+	return nil
+}
+
+// setCounter sets counter k to v. Only a holder of the sweep lock writes
+// the counters of an epoch not yet opened, so read-then-add is exact.
+func setCounter(st kvs.Store, k string, v int64) error {
+	cur, err := st.Incr(k, 0)
+	if err == nil && cur != v {
+		_, err = st.Incr(k, v-cur)
+	}
+	return err
+}
+
+// parseSeal reads a seal record: the head cursor and log length, in
+// slots, at the moment the epoch was sealed.
+func parseSeal(b []byte) (head, n int64) {
+	fmt.Sscan(string(b), &head, &n)
+	return head, n
 }
 
 // runItem executes one claimed delivery end to end.
@@ -854,6 +1173,7 @@ func (q *Queue) Await(id uint64, timeout time.Duration) (mbus.CallRecord, error)
 			// may have committed the result and acked (deleting item and
 			// attempt) since the miss above, so read the result once more.
 			if att, aerr := st.Incr(attemptKey(id), 0); aerr == nil && att == 0 {
+				st.Delete(attemptKey(id)) // the probe above recreated it
 				if rec, ok, err := q.Result(id); err != nil || ok {
 					return rec, err
 				}
